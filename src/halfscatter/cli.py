@@ -49,9 +49,8 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _json_dump(obj, indent=0) -> str:
+def _json_dump(obj) -> str:
     """Stable-key-order JSON with 17-significant-digit floats."""
-    pad = " " * indent
     if isinstance(obj, dict):
         items = ",".join(f'"{k}":{_json_dump(v)}' for k, v in obj.items())
         return "{" + items + "}"

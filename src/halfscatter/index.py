@@ -33,7 +33,7 @@ __all__ = [
     "verify_index",
 ]
 
-K_MAX_DEFAULT = 200.0
+K_EDGE_DEFAULT = 200.0  # truncation of the scattering edge of the square
 S_MAX_DEFAULT = 50.0
 
 
@@ -73,7 +73,7 @@ class EdgeFunction:
     end_limit: complex
 
 
-def square_edges(params: ModelParams, k_max: float = K_MAX_DEFAULT, s_max: float = S_MAX_DEFAULT):
+def square_edges(params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: float = S_MAX_DEFAULT):
     """The four truncated edges in clockwise traversal order."""
     mu = params.mu
     sig0 = complex(sigma_at_zero(params))
@@ -116,7 +116,7 @@ def _edge_grid(edge: EdgeFunction) -> np.ndarray:
     return np.linspace(edge.t_start, edge.t_end, 401)
 
 
-def winding_numeric(params: ModelParams, k_max: float = K_MAX_DEFAULT, s_max: float = S_MAX_DEFAULT) -> float:
+def winding_numeric(params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: float = S_MAX_DEFAULT) -> float:
     """Winding number from unwrapped truncated edges plus analytic tails.
 
     Matches the closed-form contributions to machine precision when the
@@ -170,7 +170,7 @@ class IndexReport:
 
 
 def verify_index(
-    params: ModelParams, k_max: float = K_MAX_DEFAULT, s_max: float = S_MAX_DEFAULT, tol: float = 1e-6
+    params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: float = S_MAX_DEFAULT, tol: float = 1e-6
 ) -> IndexReport:
     """Check closed-form winding, numeric winding, and bound-state count agree."""
     omega = winding_contributions(params)

@@ -18,8 +18,8 @@ from scipy.special import loggamma
 from .errors import DomainError, QuadratureWarning
 from .model import ModelParams, classify_beta
 from .phase import unwrap_on_nodes
-from .solutions import SpectralPoint, eval_L, wronskian
-from .specfun import beta_fn, hyp2f1_values
+from .solutions import SpectralPoint, eval_L, eval_N, wronskian
+from .specfun import beta_fn
 
 __all__ = [
     "ScatteringSample",
@@ -40,15 +40,7 @@ __all__ = [
 ]
 
 X_MAX_DEFAULT = 30.0
-K_MAX_DEFAULT = 40.0
-
-
-def _normalize_side(side) -> int:
-    if isinstance(side, str):
-        side = {"+": 1, "-": -1}[side]
-    if side not in (1, -1):
-        raise ValueError("side must be +1 or -1")
-    return side
+K_CUTOFF_DEFAULT = 40.0  # k-integration cutoff of the transforms
 
 
 def sigma(params: ModelParams, k):
@@ -96,46 +88,17 @@ def sigma_samples(params: ModelParams, k_nodes) -> list[ScatteringSample]:
 
 
 def fourier_kernel(params: ModelParams, side, x, k: float):
-    """Generalized Fourier kernel: -(2^(+/-ik)) sqrt(2/pi) k L(x,k) / W^(-/+)(k).
-
-    Vectorized over x for fixed k; the regular boundary solution is real, so
-    its stray imaginary rounding noise is dropped before scaling.
-    """
-    side = _normalize_side(side)
-    k = float(k)
-    pt_plus = SpectralPoint.boundary(k, +1)
-    l_val = np.real(eval_L(params, x, pt_plus))
-    w_opp = wronskian(params, SpectralPoint.boundary(k, -side))
-    pref = -np.exp(1j * side * k * np.log(2.0)) * np.sqrt(2.0 / np.pi) * k / w_opp
-    out = pref * l_val
+    """Generalized Fourier kernel at one k: the one-row case of fourier_kernel_matrix."""
+    out = fourier_kernel_matrix(params, side, x, [float(k)])[0]
     return complex(out) if np.ndim(out) == 0 else out
 
 
 def script_F(params: ModelParams, x, k: float):
-    """Outgoing building block; the minus kernel is -i (script_F sigma - conj script_F)."""
-    k = float(k)
-    if k <= 0:
-        raise DomainError("script_F requires k > 0")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("script_F requires x > 0")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    th = np.tanh(x)
-    lc = x - np.log(2.0) + np.log1p(np.exp(-2.0 * x))
-    F = hyp2f1_values(
-        params.alpha - 0.5j * k,
-        params.beta - 0.5j * k,
-        1.0 - 1j * k,
-        np.exp(-2.0 * lc),
-        log_w=2.0 * np.log(th),
-    )
-    pref = (
-        np.exp((0.5 + params.mu) * np.log(th) + 1j * k * (lc + np.log(2.0)))
-        / np.sqrt(2.0 * np.pi)
-    )
-    out = pref * F
-    return complex(out[0]) if scalar else out
+    """Outgoing building block 2^(ik) N(x; zeta=+ik) / sqrt(2 pi); the minus
+    kernel is -i (script_F sigma - conj script_F)."""
+    pt = SpectralPoint.boundary(float(k), -1)
+    out = np.exp(1j * pt.k * np.log(2.0)) * eval_N(params, x, pt) / np.sqrt(2.0 * np.pi)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def b_factor(params: ModelParams, k: float) -> complex:
@@ -229,7 +192,7 @@ def _check_tail(f: SampledFunction, label: str):
     tail = float(np.sqrt(np.sum(f.weights[-32:] * np.abs(f.values[-32:]) ** 2)))
     if tail > 1e-4 * norm:
         warnings.warn(
-            f"{label}: integrand mass {tail:.3g} in the last panel exceeds 1e-4 of the norm",
+            f"{label}: last-32-node tail/norm = {tail / norm:.3g} exceeds 1e-4",
             QuadratureWarning,
             stacklevel=3,
         )
@@ -244,19 +207,26 @@ def sine_transform(f: SampledFunction, k_grid) -> SampledFunction:
 
 
 def fourier_kernel_matrix(params: ModelParams, side, x_nodes, k_nodes) -> np.ndarray:
-    """Matrix K[j, i] = kernel_side(x_i, k_j), one vectorized x-profile per k."""
-    side = _normalize_side(side)
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    k_nodes = np.asarray(k_nodes, dtype=float)
-    out = np.empty((k_nodes.size, x_nodes.size), dtype=complex)
-    for j, k in enumerate(k_nodes):
-        out[j] = fourier_kernel(params, side, x_nodes, float(k))
-    return out
+    """Matrix K[j, ...] = kernel_side(x, k_j), one broadcast evaluation over (k, x).
+
+    kernel_side(x, k) = -(2^(+/-ik)) sqrt(2/pi) k L(x,k) / W^(-/+)(k).  The
+    regular boundary solution is real, so its stray imaginary rounding noise
+    is dropped before scaling.
+    """
+    side = SpectralPoint.parse_side(side)
+    x = np.asarray(x_nodes, dtype=float)
+    k = np.asarray(k_nodes, dtype=float).reshape((-1,) + (1,) * x.ndim)
+    w_opp = wronskian(params, SpectralPoint.boundary(k, -side))
+    pref = -np.exp(1j * side * k * np.log(2.0)) * np.sqrt(2.0 / np.pi) * k / w_opp
+    kernel = eval_L(params, x, SpectralPoint.boundary(k, +1))
+    kernel.imag = 0.0
+    kernel *= pref
+    return kernel
 
 
 def forward_transform(params: ModelParams, side, f: SampledFunction, k_grid, kernel_matrix=None) -> SampledFunction:
     """Generalized Fourier transform: (F^side f)(k) = integral kernel^(-side)(x,k) f(x) dx."""
-    side = _normalize_side(side)
+    side = SpectralPoint.parse_side(side)
     k, kw = _as_k_grid(k_grid)
     _check_tail(f, "forward_transform")
     if kernel_matrix is None:
@@ -267,7 +237,7 @@ def forward_transform(params: ModelParams, side, f: SampledFunction, k_grid, ker
 
 def adjoint_transform(params: ModelParams, side, g: SampledFunction, x_grid, kernel_matrix=None) -> SampledFunction:
     """Adjoint transform: ((F^side)* g)(x) = integral kernel^side(x,k) g(k) dk."""
-    side = _normalize_side(side)
+    side = SpectralPoint.parse_side(side)
     if isinstance(x_grid, SampledFunction):
         x, xw = x_grid.grid, x_grid.weights
     else:
@@ -283,7 +253,7 @@ def wave_operator_apply(
     params: ModelParams,
     side,
     f: SampledFunction,
-    k_max: float = K_MAX_DEFAULT,
+    k_max: float = K_CUTOFF_DEFAULT,
     nodes_per_panel: int = 16,
 ) -> SampledFunction:
     """Stationary wave operator action W_side f = (F^side)* (sine transform of f).

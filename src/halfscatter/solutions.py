@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidCError, PoleError
 from .model import ModelParams
-from .specfun import _near_int, _nonpos_int_index, gamma_ratio, hyp2f1_values, log_gamma
+from .specfun import _near_int, _nonpos_int, gamma_ratio, hyp2f1_values, log_gamma
 
 __all__ = [
     "SpectralPoint",
@@ -35,7 +35,9 @@ class SpectralPoint:
     """Spectral parameter: interior zeta with Re zeta > 0, or boundary -/+ ik.
 
     Sign convention: side +1 is the limit from the upper spectral half-plane
-    and corresponds to zeta = -ik; side -1 to zeta = +ik.
+    and corresponds to zeta = -ik; side -1 to zeta = +ik.  A boundary point
+    may carry an array of k, a grid of points on one side: the solutions and
+    Wronskians then broadcast over it.
     """
 
     zeta: complex
@@ -53,14 +55,20 @@ class SpectralPoint:
             raise DomainError(f"interior spectral point needs Re(zeta) > 0, got {zeta}")
         return cls(zeta=zeta)
 
-    @classmethod
-    def boundary(cls, k: float, side) -> "SpectralPoint":
+    @staticmethod
+    def parse_side(side) -> int:
+        """Side as +1 or -1; the strings "+" and "-" are accepted."""
         if isinstance(side, str):
             side = {"+": 1, "-": -1}[side]
         if side not in (1, -1):
             raise ValueError("side must be +1 or -1")
-        k = float(k)
-        if k <= 0:
+        return side
+
+    @classmethod
+    def boundary(cls, k, side) -> "SpectralPoint":
+        side = cls.parse_side(side)
+        k = float(k) if np.ndim(k) == 0 else np.asarray(k, dtype=float)
+        if np.any(k <= 0):
             raise DomainError(f"boundary spectral point needs k > 0, got {k}")
         return cls(zeta=-1j * side * k, k=k, side=side)
 
@@ -85,59 +93,44 @@ def _check_x(x):
     return x
 
 
-def _maybe_scalar(out, scalar):
-    return complex(out[0]) if scalar else out
+def _solution(params: ModelParams, x, zeta, sign: int, regular: bool):
+    """Shared closed form (tanh x)^(1/2+mu) (cosh x)^(-sign zeta) F(alpha + sign zeta/2,
+    beta + sign zeta/2; c; .), with F in tanh^2 x (regular: c = 1+mu) or in
+    sech^2 x (c = 1 + sign zeta).  x and zeta broadcast against each other.
+    """
+    x = _check_x(x)
+    scalar = x.ndim == 0 and np.ndim(zeta) == 0
+    x = np.atleast_1d(x)
+    a = params.alpha + sign * zeta / 2.0
+    b = params.beta + sign * zeta / 2.0
+    th = np.tanh(x)
+    lc = _log_cosh(x)
+    if regular:
+        F = hyp2f1_values(a, b, 1.0 + params.mu, th**2, log_w=-2.0 * lc)
+    else:
+        if np.any(_nonpos_int(1.0 + sign * zeta)):
+            raise InvalidCError(f"c = 1 + {sign} zeta is a nonpositive integer at zeta = {zeta}; perturb zeta")
+        F = hyp2f1_values(a, b, 1.0 + sign * zeta, np.exp(-2.0 * lc), log_w=2.0 * np.log(th))
+    # in place: on a (k, x) grid these are the largest arrays in the package
+    pref = np.asarray(-sign * zeta, dtype=complex) * lc
+    pref += (0.5 + params.mu) * np.log(th)
+    F *= np.exp(pref, out=pref)
+    return complex(F[0]) if scalar else F
 
 
 def eval_L(params: ModelParams, x, pt: SpectralPoint):
     """Regular solution, L(x) = x^(1/2+mu) (1 + O(x^2)) near the origin."""
-    x = _check_x(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    zeta = pt.zeta
-    a = params.alpha - zeta / 2.0
-    b = params.beta - zeta / 2.0
-    th = np.tanh(x)
-    lc = _log_cosh(x)
-    F = hyp2f1_values(a, b, 1.0 + params.mu, th**2, log_w=-2.0 * lc)
-    pref = np.exp((0.5 + params.mu) * np.log(th) + zeta * lc)
-    return _maybe_scalar(pref * F, scalar)
+    return _solution(params, x, pt.zeta, -1, regular=True)
 
 
 def eval_M(params: ModelParams, x, pt: SpectralPoint):
     """Decaying solution, M(x) = 2^zeta e^(-zeta x) (1 + O(e^(-2x))) at infinity."""
-    x = _check_x(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    zeta = pt.zeta
-    if _nonpos_int_index(1.0 + zeta) is not None:
-        raise InvalidCError(f"1 + zeta = {1.0 + zeta} is a nonpositive integer")
-    a = params.alpha + zeta / 2.0
-    b = params.beta + zeta / 2.0
-    th = np.tanh(x)
-    lc = _log_cosh(x)
-    F = hyp2f1_values(a, b, 1.0 + zeta, np.exp(-2.0 * lc), log_w=2.0 * np.log(th))
-    pref = np.exp((0.5 + params.mu) * np.log(th) - zeta * lc)
-    return _maybe_scalar(pref * F, scalar)
+    return _solution(params, x, pt.zeta, +1, regular=False)
 
 
 def eval_N(params: ModelParams, x, pt: SpectralPoint):
     """Growing solution, N(x) = 2^(-zeta) e^(zeta x) (1 + O(e^(-2x))) at infinity."""
-    x = _check_x(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    zeta = pt.zeta
-    if _nonpos_int_index(1.0 - zeta) is not None:
-        raise InvalidCError(
-            f"1 - zeta = {1.0 - zeta} is a nonpositive integer; perturb zeta"
-        )
-    a = params.alpha - zeta / 2.0
-    b = params.beta - zeta / 2.0
-    th = np.tanh(x)
-    lc = _log_cosh(x)
-    F = hyp2f1_values(a, b, 1.0 - zeta, np.exp(-2.0 * lc), log_w=2.0 * np.log(th))
-    pref = np.exp((0.5 + params.mu) * np.log(th) + zeta * lc)
-    return _maybe_scalar(pref * F, scalar)
+    return _solution(params, x, pt.zeta, -1, regular=False)
 
 
 def wronskian(params: ModelParams, pt: SpectralPoint) -> complex:
@@ -156,7 +149,7 @@ def wronskian(params: ModelParams, pt: SpectralPoint) -> complex:
 def connection_coefficients(params: ModelParams, pt: SpectralPoint) -> ConnectionCoefficients:
     """Coefficients with L = c_M * M + c_N * N; PoleError at integer interior zeta."""
     zeta = pt.zeta
-    if not pt.is_boundary and _near_int(zeta) is not None:
+    if not pt.is_boundary and _near_int(zeta)[0]:
         raise PoleError(f"Gamma(+/-zeta) pole at integer zeta = {zeta}")
     c_M = gamma_ratio(
         (1.0 + params.mu, -zeta),

@@ -38,37 +38,53 @@ class BoundStateReport:
     levels: tuple[BoundStateLevel, ...]
 
 
-def resolvent_kernel(params: ModelParams, pt: SpectralPoint, x: float, y: float) -> complex:
-    """Kernel of (H + zeta^2)^(-1): -(1/W) L(min) M(max), symmetric in (x, y)."""
+def _union(x, y):
+    """Sorted union of the points of x and y (broadcast together), the index
+    of each x and y point in it, and the broadcast shape."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    pts, inv = np.unique(np.concatenate([x.ravel(), y.ravel()]), return_inverse=True)
+    return pts, inv[: x.size], inv[x.size :], x.shape
+
+
+def _shaped(out, shape):
+    out = out.reshape(shape)
+    return complex(out) if out.ndim == 0 else out
+
+
+def resolvent_kernel(params: ModelParams, pt: SpectralPoint, x, y):
+    """Kernel of (H + zeta^2)^(-1): -(1/W) L(min) M(max), symmetric in (x, y).
+
+    x and y broadcast against each other; L is evaluated once at each point
+    that is some min(x, y), M once at each point that is some max(x, y).  An
+    interior point at an eigenvalue raises AtEigenvalueError; the boundary
+    Wronskian never vanishes for k > 0.
+    """
     w = wronskian(params, pt)
-    if abs(w) <= _EIGEN_TOL * wronskian_scale(params, pt):
+    if not pt.is_boundary and abs(w) <= _EIGEN_TOL * wronskian_scale(params, pt):
         raise AtEigenvalueError(f"Wronskian vanishes at zeta = {pt.zeta}")
-    lo, hi = min(x, y), max(x, y)
-    return complex(-eval_L(params, lo, pt) * eval_M(params, hi, pt) / w)
+    pts, ix, iy, shape = _union(x, y)
+    lo, lo_at = np.unique(np.minimum(ix, iy), return_inverse=True)
+    hi, hi_at = np.unique(np.maximum(ix, iy), return_inverse=True)
+    return _shaped(-eval_L(params, pts[lo], pt)[lo_at] * eval_M(params, pts[hi], pt)[hi_at] / w, shape)
 
 
-def resolvent_boundary_kernel(
-    params: ModelParams, k: float, side, x: float, y: float
-) -> complex:
+def resolvent_boundary_kernel(params: ModelParams, k: float, side, x, y):
     """Limiting-absorption boundary value of the resolvent kernel at k^2 +/- i0."""
-    pt = SpectralPoint.boundary(k, side)
-    # the boundary Wronskian never vanishes for k > 0
-    return complex(
-        -eval_L(params, min(x, y), pt) * eval_M(params, max(x, y), pt) / wronskian(params, pt)
-    )
+    return resolvent_kernel(params, SpectralPoint.boundary(k, side), x, y)
 
 
-def spectral_density_kernel(params: ModelParams, k: float, x, y) -> complex:
+def spectral_density_kernel(params: ModelParams, k: float, x, y):
     """Spectral density p(k^2; x, y) = (k/pi) L(x,k) L(y,k) / |W^+(k)|^2.
 
     Real, symmetric, and nonnegative on the diagonal; equals the resolvent
-    jump across the continuous spectrum divided by 2*pi*i.
+    jump across the continuous spectrum divided by 2*pi*i.  x and y broadcast
+    against each other, and L is evaluated once on the union of their points.
     """
     pt = SpectralPoint.boundary(k, +1)
     w = wronskian(params, pt)
-    lx = eval_L(params, x, pt)
-    ly = eval_L(params, y, pt)
-    return (k / np.pi) * lx * ly / (abs(w) ** 2)
+    pts, ix, iy, shape = _union(x, y)
+    lv = eval_L(params, pts, pt)
+    return _shaped((k / np.pi) * lv[ix] * lv[iy] / (abs(w) ** 2), shape)
 
 
 def bound_states(params: ModelParams) -> BoundStateReport:

@@ -125,6 +125,24 @@ def test_numerical_failure_exits_3(tmp_path):
     assert rc == EXIT_NUMERIC
 
 
+def test_density_and_kernel_row_order(tmp_path):
+    # one row per grid point, nested in order: k, then x, then y innermost
+    grids = {"k": "0.5:2:3", "x": "0.4:2:4", "y": "0.7:1.5:2"}
+    for argv, axes in [
+        (["density", "--mu", "1", "--nu", "2"], ("k", "x", "y")),
+        (["kernel", "--mu", "1", "--nu", "2", "--kind", "resolvent"], ("x", "y")),
+        (["kernel", "--mu", "1", "--nu", "2", "--kind", "boundary", "--k", "1.3"], ("x", "y")),
+    ]:
+        flags = [f for ax in axes for f in (f"--{ax}", grids[ax])]
+        rc, text = run(tmp_path, *argv, *flags)
+        assert rc == EXIT_OK
+        rows = np.array([[float(v) for v in line.split(",")] for line in rows_of(text)[1:]])
+        mesh = np.meshgrid(*(parse_range(grids[ax]) for ax in axes), indexing="ij")
+        expect = np.stack([m.ravel() for m in mesh], axis=1)
+        assert rows.shape[0] == expect.shape[0]
+        assert np.array_equal(rows[:, : len(axes)], expect)
+
+
 def test_deterministic_output(tmp_path):
     args = ["sigma", "--mu", "1", "--nu", "2.5", "--k", "0.2:8:40"]
     _, first = run(tmp_path, *args)

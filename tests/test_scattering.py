@@ -131,6 +131,17 @@ def test_fourier_kernel_large_x_law(standard_params):
         assert abs(val - ref) < 1e-6
 
 
+def test_kernel_matrix_equals_stacked_kernel_rows(standard_params):
+    # k stays below the 2F1 cancellation zone (k >~ 25), where entries are noise
+    x, _ = quadrature_panels(0.0, 12.0, 1.0, 8)
+    kk = np.linspace(0.05, 10.0, 23)
+    for side in (-1, +1):
+        km = fourier_kernel_matrix(standard_params, side, x, kk)
+        rows = np.array([fourier_kernel(standard_params, side, x, k) for k in kk])
+        assert km.shape == (kk.size, x.size)
+        assert np.max(np.abs(km - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+
 def test_script_F_identity(standard_params):
     for k in (0.7, 2.3):
         s = sigma(standard_params, k)

@@ -69,6 +69,20 @@ def test_gamma_ratio_zero_at_denominator_pole():
     assert gamma_ratio((1.0,), (-2.0,)) == 0
 
 
+def test_gamma_ratio_broadcasts_with_pole_rules_per_lane():
+    num = np.array([0.5 + 1j, 2.5, 3.0 - 0.5j, 3.0 - 0.5j])
+    den = np.array([[1.5], [-2.0]])  # second row: a denominator pole in every lane
+    out = gamma_ratio((num,), (den, 1.0 + 0.25j))
+    assert out.shape == (2, 4)
+    for i, v in enumerate(num):
+        assert out[0, i] == pytest.approx(gamma_ratio((v,), (1.5, 1.0 + 0.25j)), rel=1e-15)
+    assert np.all(out[1] == 0)
+    # a numerator pole raises unless that lane's denominator is at a pole too
+    assert np.all(gamma_ratio((np.array([-1.0, 2.0]),), (np.array([-3.0, -1.0]),)) == 0)
+    with pytest.raises(PoleError):
+        gamma_ratio((np.array([2.0, -1.0]),), (np.array([-3.0, 1.5]),))
+
+
 # ---------------------------------------------------------------------------
 # Pochhammer / Beta
 
@@ -193,6 +207,58 @@ def test_log_w_pathway_matches_direct():
     v1 = complex(hyp2f1_values(a, b, c, np.array([z]), log_w=np.array([lw]))[0])
     v2 = gauss_2f1(a, b, c, z)
     assert abs(v1 - v2) < 1e-7 * abs(v1)  # direct path loses digits in 1-z
+
+
+# One lane per branch of hyp2f1_values, each at moderate |a*b|.
+_A, _B = 0.45 - 0.6j, 0.9 + 0.35j
+BRANCH_CASES = {
+    "terminating": (-3.0, 1.7 - 0.4j, 2.2, 0.83),
+    "series": (0.4 + 0.8j, 1.1 - 0.3j, 1.7 + 0.2j, 0.45),
+    "transform": (0.4 + 0.8j, 1.1 - 0.3j, 1.7 + 0.2j, 0.93),
+    "log_m0": (_A, _B, _A + _B, 0.93),
+    "log_m1": (_A, _B, _A + _B + 1.0, 0.88),
+    "log_m3": (_A, _B, _A + _B + 3.0, 0.97),
+    "log_m_neg2": (_A, _B, _A + _B - 2.0, 0.93),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCH_CASES))
+def test_2f1_branch_lane_matches_one_lane_call(branch):
+    # the lane sits among lanes of every other branch, twice, in both orders
+    names = sorted(BRANCH_CASES)
+    order = names + names[::-1]
+    a, b, c, z = (np.array([BRANCH_CASES[n][i] for n in order]) for i in range(4))
+    vals = hyp2f1_values(a, b, c, z.real)
+    alone = gauss_2f1(*BRANCH_CASES[branch])
+    for i, n in enumerate(order):
+        if n == branch:
+            assert abs(vals[i] - alone) <= 1e-14 * abs(alone)
+
+
+def test_2f1_broadcast_shapes():
+    a, b, c, z = BRANCH_CASES["transform"]
+    val = hyp2f1_values(a, b, c, z)
+    assert np.ndim(val) == 0 and val == gauss_2f1(a, b, c, z)
+    k = np.array([[0.5], [1.5], [3.0]])
+    zs = np.array([[0.1, 0.5, 0.7, 0.95]])
+    grid = hyp2f1_values(a - 0.5j * k, b - 0.5j * k, c, zs)
+    assert grid.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            one = gauss_2f1(a - 0.5j * k[i, 0], b - 0.5j * k[i, 0], c, zs[0, j])
+            assert abs(grid[i, j] - one) <= 1e-14 * abs(one)
+
+
+def test_2f1_errors_per_lane():
+    a, b = np.array([0.5, 0.5]), np.array([0.5, 0.5])
+    with pytest.raises(InvalidCError):
+        hyp2f1_values(a, b, np.array([1.5, -2.0]), 0.3)
+    with pytest.raises(ValueError):
+        hyp2f1_values(a, b, 1.5, np.array([0.3, 1.0]))
+    with pytest.raises(ValueError):
+        hyp2f1_values(a, b, 1.5, np.array([0.3, -0.1]))
+    with pytest.raises(NoConvergenceError):
+        _raw_series(a, b, 1.0, np.array([0.1, 0.999999]), max_terms=60)
 
 
 @settings(max_examples=60, deadline=None)

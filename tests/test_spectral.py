@@ -43,6 +43,33 @@ def test_resolvent_at_eigenvalue_raises():
         resolvent_kernel(p, SpectralPoint.interior(2.0), 1.0, 2.0)
 
 
+def test_array_kernels_equal_scalar_calls():
+    p = ModelParams(1.0, 2.0)
+    pt = SpectralPoint.interior(1.3 + 0.4j)
+    xs = np.array([0.3, 0.9, 2.1, 4.0])
+    ys = np.array([0.9, 1.7, 3.2])
+    grids = [
+        (resolvent_kernel(p, pt, xs[:, None], ys), lambda x, y: resolvent_kernel(p, pt, x, y)),
+        (
+            resolvent_boundary_kernel(p, 1.2, "-", xs[:, None], ys),
+            lambda x, y: resolvent_boundary_kernel(p, 1.2, "-", x, y),
+        ),
+        (spectral_density_kernel(p, 0.8, xs[:, None], ys), lambda x, y: spectral_density_kernel(p, 0.8, x, y)),
+    ]
+    for grid, scalar in grids:
+        assert grid.shape == (xs.size, ys.size)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                one = scalar(float(x), float(y))
+                assert isinstance(one, complex)
+                assert abs(grid[i, j] - one) <= 1e-14 * abs(one)
+
+
+def test_resolvent_at_eigenvalue_raises_from_array_path():
+    with pytest.raises(AtEigenvalueError):
+        resolvent_kernel(ModelParams(0.0, 3.0), SpectralPoint.interior(2.0), np.array([0.5, 1.0]), 2.0)
+
+
 def test_resolvent_decay_estimate():
     # |R| <= C tanh(x)^(1/2) tanh(y)^(1/2) e^(-Re zeta |x-y|), C fitted near
     # the diagonal and checked far from it (mu > 0 branch of the bound)
