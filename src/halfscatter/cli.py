@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,37 +98,6 @@ def parse_complex(text: str) -> complex:
         raise UsageError(f"bad complex number {text!r}") from exc
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: parameters, grids, output target, format.
-
-    Grid strings stay in `grids` until a command parses them with parse_range,
-    which enforces the nonempty / count >= 2 contract.
-    """
-
-    mu: float = 0.5
-    nu: float = 0.5
-    out: str | None = None
-    fmt: str = "csv"
-    grids: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace, fmt: str = "csv") -> "RunConfig":
-        known = {"mu", "nu", "out", "config", "func", "command"}
-        grids = {k: v for k, v in vars(args).items() if k not in known}
-        return cls(
-            mu=float(getattr(args, "mu", 0.5)),
-            nu=float(getattr(args, "nu", 0.5)),
-            out=getattr(args, "out", None),
-            fmt=fmt,
-            grids=grids,
-        )
-
-    @property
-    def params(self) -> ModelParams:
-        return ModelParams(mu=self.mu, nu=self.nu)
-
-
 def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
     path = getattr(args, "config", None)
     if not path:
@@ -169,72 +137,67 @@ def _csv_lines(header: list[str], rows) -> str:
 
 
 def cmd_sigma(args) -> int:
-    cfg = RunConfig.from_args(args)
-    k_grid = parse_range(cfg.grids["k"])
+    k_grid = parse_range(args.k)
     if np.any(k_grid <= 0):
         raise UsageError("sigma needs k > 0")
-    samples = sigma_samples(cfg.params, k_grid)
+    samples = sigma_samples(ModelParams(float(args.mu), float(args.nu)), k_grid)
     text = _csv_lines(
         ["k", "sigma_re", "sigma_im", "phase"],
         [(s.k, s.sigma.real, s.sigma.imag, s.phase) for s in samples],
     )
-    _write_text(cfg.out, text)
+    _write_text(args.out, text)
     return EXIT_OK
 
 
 def cmd_bound_states(args) -> int:
-    cfg = RunConfig.from_args(args, fmt="json")
-    rep = bound_states(cfg.params)
+    rep = bound_states(ModelParams(float(args.mu), float(args.nu)))
     payload = {
         "count": rep.count,
         "levels": [{"zeta": lv.zeta, "energy": lv.energy} for lv in rep.levels],
     }
-    _write_text(cfg.out, _json_dump(payload) + "\n")
+    _write_text(args.out, _json_dump(payload) + "\n")
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
-    cfg = RunConfig.from_args(args)
-    p = cfg.params
-    ks = parse_range(cfg.grids["k"])
-    xs = parse_range(cfg.grids["x"])
-    ys = parse_range(cfg.grids["y"])
+    p = ModelParams(float(args.mu), float(args.nu))
+    ks = parse_range(args.k)
+    xs = parse_range(args.x)
+    ys = parse_range(args.y)
     rows = []
     for k in ks:
         for x in xs:
             for y in ys:
                 val = spectral_density_kernel(p, float(k), float(x), float(y))
                 rows.append((k, x, y, val.real))
-    _write_text(cfg.out, _csv_lines(["k", "x", "y", "p"], rows))
+    _write_text(args.out, _csv_lines(["k", "x", "y", "p"], rows))
     return EXIT_OK
 
 
 def cmd_kernel(args) -> int:
-    cfg = RunConfig.from_args(args)
-    p = cfg.params
-    xs, ys = parse_range(cfg.grids["x"]), parse_range(cfg.grids["y"])
+    p = ModelParams(float(args.mu), float(args.nu))
+    xs, ys = parse_range(args.x), parse_range(args.y)
     rows = []
-    if cfg.grids["kind"] == "resolvent":
-        pt = SpectralPoint.interior(parse_complex(cfg.grids["zeta"]))
+    if args.kind == "resolvent":
+        pt = SpectralPoint.interior(parse_complex(args.zeta))
         for x in xs:
             for y in ys:
                 v = resolvent_kernel(p, pt, float(x), float(y))
                 rows.append((x, y, v.real, v.imag))
-    elif cfg.grids["kind"] == "boundary":
-        k = float(cfg.grids["k"])
+    elif args.kind == "boundary":
+        k = float(args.k)
         for x in xs:
             for y in ys:
-                v = resolvent_boundary_kernel(p, k, cfg.grids["side"], float(x), float(y))
+                v = resolvent_boundary_kernel(p, k, args.side, float(x), float(y))
                 rows.append((x, y, v.real, v.imag))
     else:
-        raise UsageError(f"unknown kernel kind {cfg.grids['kind']!r}")
-    _write_text(cfg.out, _csv_lines(["x", "y", "re", "im"], rows))
+        raise UsageError(f"unknown kernel kind {args.kind!r}")
+    _write_text(args.out, _csv_lines(["x", "y", "re", "im"], rows))
     return EXIT_OK
 
 
 def cmd_winding(args) -> int:
-    cfg = RunConfig.from_args(args, fmt="json")
-    p = cfg.params
+    p = ModelParams(float(args.mu), float(args.nu))
     omega = index_mod.winding_contributions(p)
     payload = {
         "mu": p.mu,
@@ -242,35 +205,33 @@ def cmd_winding(args) -> int:
         "omega": list(omega),
         "winding_closed": float(sum(omega)),
         "winding_numeric": index_mod.winding_numeric(
-            p, float(cfg.grids["k_max"]), float(cfg.grids["s_max"])
+            p, float(args.k_max), float(args.s_max)
         ),
     }
-    _write_text(cfg.out, _json_dump(payload) + "\n")
+    _write_text(args.out, _json_dump(payload) + "\n")
     return EXIT_OK
 
 
 def cmd_verify_index(args) -> int:
-    cfg = RunConfig.from_args(args, fmt="json")
-    mus = parse_range(cfg.grids["mu_grid"]) if cfg.grids["mu_grid"] else np.array([cfg.mu])
-    nus = parse_range(cfg.grids["nu_grid"]) if cfg.grids["nu_grid"] else np.array([cfg.nu])
+    mus = parse_range(args.mu_grid) if args.mu_grid else np.array([float(args.mu)])
+    nus = parse_range(args.nu_grid) if args.nu_grid else np.array([float(args.nu)])
     reports = []
     for mu in mus:
         for nu in nus:
             rep = index_mod.verify_index(
                 ModelParams(float(mu), float(nu)),
-                float(cfg.grids["k_max"]),
-                float(cfg.grids["s_max"]),
+                float(args.k_max),
+                float(args.s_max),
             )
             reports.append(rep)
     payload = [r.to_json_dict() for r in reports]
-    _write_text(cfg.out, _json_dump(payload) + "\n")
+    _write_text(args.out, _json_dump(payload) + "\n")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
 
 
 def cmd_oracle_check(args) -> int:
-    cfg = RunConfig.from_args(args)
-    p = cfg.params
-    zeta = parse_complex(cfg.grids["zeta"])
+    p = ModelParams(float(args.mu), float(args.nu))
+    zeta = parse_complex(args.zeta)
     pt = SpectralPoint.interior(zeta)
     rows = []
 
@@ -308,19 +269,13 @@ def cmd_oracle_check(args) -> int:
     lines = ["check,discrepancy,tolerance,status"]
     for name, err, tol, st in table:
         lines.append(f"{name},{_fmt(err)},{_fmt(tol)},{st}")
-    _write_text(cfg.out, "\r\n".join(lines) + "\r\n")
+    _write_text(args.out, "\r\n".join(lines) + "\r\n")
     return EXIT_OK if all(st == "pass" for *_, st in table) else EXIT_VERIFY_FAIL
 
 
 def cmd_eval_2f1(args) -> int:
-    cfg = RunConfig.from_args(args, fmt="json")
-    val = gauss_2f1(
-        parse_complex(cfg.grids["a"]),
-        parse_complex(cfg.grids["b"]),
-        parse_complex(cfg.grids["c"]),
-        float(cfg.grids["z"]),
-    )
-    _write_text(cfg.out, _json_dump({"re": val.real, "im": val.imag}) + "\n")
+    val = gauss_2f1(parse_complex(args.a), parse_complex(args.b), parse_complex(args.c), float(args.z))
+    _write_text(args.out, _json_dump({"re": val.real, "im": val.imag}) + "\n")
     return EXIT_OK
 
 

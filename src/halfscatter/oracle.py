@@ -40,6 +40,7 @@ class OdeSolution:
     du: np.ndarray
     tol: float
     _dense: Callable
+    _events: list | None = None
 
     def __call__(self, x):
         """Evaluate (u, u') at x from the dense interpolant."""
@@ -64,6 +65,38 @@ def _rhs_complex(params: ModelParams, energy: complex):
     return rhs
 
 
+def _integrate(params, energy, span, u0, du0, tol, atol=None, events=None, n_samples=200) -> OdeSolution:
+    """Integrate -u'' + V u = E u over span, forward or backward, from (u0, du0)
+    at span[0]; sampled on n_samples points spanning it in increasing order.
+
+    atol defaults to tol times the larger initial magnitude.
+    """
+    if atol is None:
+        atol = tol * max(abs(u0), abs(du0))
+    u0, du0 = complex(u0), complex(du0)
+    sol = solve_ivp(
+        _rhs_complex(params, complex(energy)),
+        span,
+        (u0.real, u0.imag, du0.real, du0.imag),
+        method="RK45",
+        rtol=tol,
+        atol=atol,
+        dense_output=True,
+        events=events,
+    )
+    if not sol.success:
+        raise StepFailureError(f"integration over {span} failed: {sol.message}")
+    xs = np.linspace(min(span), max(span), n_samples)
+    ys = sol.sol(xs)
+    return OdeSolution(xs, ys[0] + 1j * ys[1], ys[2] + 1j * ys[3], tol, sol.sol, sol.t_events)
+
+
+def _regular_data(params: ModelParams, x0: float):
+    """(u, u') = (x0^(1/2+mu), its derivative): the leading power at the origin."""
+    p = 0.5 + params.mu
+    return x0**p, p * x0 ** (p - 1.0)
+
+
 def integrate_regular(
     params: ModelParams,
     energy,
@@ -80,32 +113,8 @@ def integrate_regular(
     """
     if x0 <= 0 or x1 <= x0:
         raise DomainError("need 0 < x0 < x1")
-    energy = complex(energy)
-    p = 0.5 + params.mu
-    u0 = x0**p
-    du0 = p * x0 ** (p - 1.0)
-    y0 = (u0, 0.0, du0, 0.0)
-    atol = tol * max(abs(u0), abs(du0))
-    sol = solve_ivp(
-        _rhs_complex(params, energy),
-        (x0, x1),
-        y0,
-        method="RK45",
-        rtol=tol,
-        atol=atol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise StepFailureError(f"regular integration failed: {sol.message}")
-    xs = np.linspace(x0, x1, n_samples)
-    ys = sol.sol(xs)
-    return OdeSolution(
-        x=xs,
-        u=ys[0] + 1j * ys[1],
-        du=ys[2] + 1j * ys[3],
-        tol=tol,
-        _dense=sol.sol,
-    )
+    u0, du0 = _regular_data(params, x0)
+    return _integrate(params, energy, (x0, x1), u0, du0, tol, n_samples=n_samples)
 
 
 def integrate_decaying(
@@ -121,29 +130,8 @@ def integrate_decaying(
     growing mode dies in the reversed direction.
     """
     zeta = complex(pt.zeta)
-    energy = -(zeta**2)
     scale = np.exp(-zeta * x_far)
-    y0 = (scale.real, scale.imag, (-zeta * scale).real, (-zeta * scale).imag)
-    sol = solve_ivp(
-        _rhs_complex(params, energy),
-        (x_far, x_low),
-        y0,
-        method="RK45",
-        rtol=tol,
-        atol=tol * abs(scale),
-        dense_output=True,
-    )
-    if not sol.success:
-        raise StepFailureError(f"decaying integration failed: {sol.message}")
-    xs = np.linspace(x_low, x_far, 200)
-    ys = sol.sol(xs)
-    return OdeSolution(
-        x=xs,
-        u=ys[0] + 1j * ys[1],
-        du=ys[2] + 1j * ys[3],
-        tol=tol,
-        _dense=sol.sol,
-    )
+    return _integrate(params, -(zeta**2), (x_far, x_low), scale, -zeta * scale, tol, tol * abs(scale))
 
 
 def extract_sigma(
@@ -180,50 +168,21 @@ def extract_sigma(
 
 def count_bound_states_shooting(
     params: ModelParams,
-    e_min: float | None = None,
     x0: float = 1e-3,
     x_max: float = 25.0,
     tol: float = 1e-8,
 ) -> int:
     """Number of nodes of the regular solution at energy just below zero.
 
-    By Sturm oscillation this equals the number of eigenvalues.  e_min is a
-    sanity floor below the lowest expected level; it only gets validated.
+    By Sturm oscillation this equals the number of eigenvalues.
     """
-    if e_min is None:
-        e_min = -((params.nu + 1.0) ** 2)
-    if e_min >= 0:
-        raise DomainError("e_min must be negative")
-    energy = -1e-8
-    p = 0.5 + params.mu
-    u0 = x0**p
-    du0 = p * x0 ** (p - 1.0)
-    mu2 = params.mu**2
-    c0 = mu2 - 0.25
-    c1 = mu2 - params.nu**2
-
-    def rhs(x, y):
-        sh = math.sinh(x)
-        ch = math.cosh(x)
-        v = c0 / (sh * ch) ** 2 + c1 / ch**2
-        return (y[1], (v - energy) * y[0])
 
     def node(x, y):
         return y[0]
 
-    node.direction = 0
-    sol = solve_ivp(
-        rhs,
-        (x0, x_max),
-        (u0, du0),
-        method="RK45",
-        rtol=tol,
-        atol=tol * max(u0, du0),
-        events=node,
-    )
-    if not sol.success:
-        raise StepFailureError(f"shooting integration failed: {sol.message}")
-    return int(len(sol.t_events[0]))
+    u0, du0 = _regular_data(params, x0)
+    sol = _integrate(params, -1e-8, (x0, x_max), u0, du0, tol, events=node)
+    return len(sol._events[0])
 
 
 def greens_function_oracle(
@@ -243,10 +202,8 @@ def greens_function_oracle(
     lo, hi = min(x, y), max(x, y)
     zeta = complex(pt.zeta)
     reg = integrate_regular(params, energy=-(zeta**2), x0=x0, x1=hi, tol=tol)
-    dec = integrate_decaying(params, pt, x_low=min(lo, hi) * 0.5, x_far=x_far, tol=tol)
+    dec = integrate_decaying(params, pt, x_low=lo * 0.5, x_far=x_far, tol=tol)
     u_r, du_r = reg(hi)
     u_d, du_d = dec(hi)
-    wr = u_r * du_d - du_r * u_d
     u_r_lo, _ = reg(lo)
-    u_d_hi = u_d
-    return complex(-(u_r_lo * u_d_hi) / wr)
+    return complex(-(u_r_lo * u_d) / (u_r * du_d - du_r * u_d))

@@ -6,10 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import AtEigenvalueError, DomainError
 from .model import ModelParams
-from .solutions import SpectralPoint, eval_L, eval_M, wronskian, wronskian_scale
+from .solutions import SpectralPoint, eval_L, eval_M, wronskian
+from .specfun import _nonpos_int
 
 __all__ = [
     "BoundStateLevel",
@@ -21,9 +23,6 @@ __all__ = [
     "wronskian_roots",
     "eigenfunction",
 ]
-
-_EIGEN_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class BoundStateLevel:
@@ -60,7 +59,7 @@ def resolvent_kernel(params: ModelParams, pt: SpectralPoint, x, y):
     Wronskian never vanishes for k > 0.
     """
     w = wronskian(params, pt)
-    if not pt.is_boundary and abs(w) <= _EIGEN_TOL * wronskian_scale(params, pt):
+    if not pt.is_boundary and _nonpos_int(params.beta + pt.zeta / 2.0):
         raise AtEigenvalueError(f"Wronskian vanishes at zeta = {pt.zeta}")
     pts, ix, iy, shape = _union(x, y)
     lo, lo_at = np.unique(np.minimum(ix, iy), return_inverse=True)
@@ -109,11 +108,12 @@ def wronskian_roots(
     delta: float = 1e-9,
     xtol: float = 1e-12,
 ) -> list[float]:
-    """Zeros of the real Wronskian on (delta, nu-mu-1+delta] by sign-change bisection.
+    """Zeros of the real Wronskian on (delta, nu-mu-1+delta] by Brent's method.
 
-    The zeros are simple, so bisection on a scan grid finer than their spacing
-    (which is 2) finds them all.  Returned in decreasing order, matching the
-    level ordering of bound_states.
+    The zeros are simple, so a scan grid finer than their spacing (which is 2)
+    brackets each one in a sign change; a zero that lands on a node is taken
+    once, as the node.  Returned in decreasing order, matching the level
+    ordering of bound_states.
     """
     t = params.nu - params.mu - 1.0
     if t <= 0:
@@ -124,29 +124,11 @@ def wronskian_roots(
 
     n_seg = max(4, int(np.ceil(t / scan_step)) + 1)
     grid = np.linspace(delta, t + delta, n_seg)
-    vals = np.array([w_real(g) for g in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(float(a))
-            continue
-        if fa * fb > 0:
-            continue
-        while b - a > xtol:
-            m = 0.5 * (a + b)
-            fm = w_real(m)
-            if fm == 0.0:
-                a = b = m
-                break
-            if fa * fm < 0:
-                b = m
-            else:
-                a, fa = m, fm
-        roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    vals = [w_real(g) for g in grid]
+    roots = [float(g) for g, v in zip(grid, vals) if v == 0.0]
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if fa * fb < 0:
+            roots.append(brentq(w_real, a, b, xtol=xtol))
     return sorted(roots, reverse=True)
 
 

@@ -6,7 +6,7 @@ import cmath
 import numpy as np
 import pytest
 
-from halfscatter.errors import DomainError, IllConditionedError
+from halfscatter.errors import IllConditionedError
 from halfscatter.model import ModelParams
 from halfscatter.oracle import (
     count_bound_states_shooting,
@@ -97,11 +97,6 @@ def test_extract_sigma_ill_conditioned_window():
 )
 def test_node_counting(mu, nu, count):
     assert count_bound_states_shooting(ModelParams(mu, nu)) == count
-
-
-def test_node_counting_validates_floor():
-    with pytest.raises(DomainError):
-        count_bound_states_shooting(FREE, e_min=1.0)
 
 
 def test_greens_free_case():

@@ -70,6 +70,21 @@ def test_resolvent_at_eigenvalue_raises_from_array_path():
         resolvent_kernel(ModelParams(0.0, 3.0), SpectralPoint.interior(2.0), np.array([0.5, 1.0]), 2.0)
 
 
+@pytest.mark.parametrize("zeta", [20.0, 30.0])
+def test_resolvent_at_large_zeta_without_bound_states(zeta):
+    # (1, 2) has no bound states, so the kernel exists for every zeta > 0
+    mp = pytest.importorskip("mpmath")
+    p, x, y = ModelParams(1.0, 2.0), 1.0, 2.0
+    with mp.workdps(40):
+        m, a, b, z = mp.mpf(p.mu), mp.mpf(p.alpha), mp.mpf(p.beta), mp.mpf(zeta)
+        reg = mp.tanh(x) ** (m + 0.5) * mp.cosh(x) ** z * mp.hyp2f1(a - z / 2, b - z / 2, 1 + m, mp.tanh(x) ** 2)
+        dec = mp.tanh(y) ** (m + 0.5) * mp.cosh(y) ** -z * mp.hyp2f1(a + z / 2, b + z / 2, 1 + z, mp.sech(y) ** 2)
+        w = -2 * mp.gamma(1 + m) * mp.gamma(1 + z) / (mp.gamma(a + z / 2) * mp.gamma(b + z / 2))
+        ref = complex(-reg * dec / w)
+    val = resolvent_kernel(p, SpectralPoint.interior(zeta), x, y)
+    assert abs(val - ref) < 1e-12 * abs(ref)
+
+
 def test_resolvent_decay_estimate():
     # |R| <= C tanh(x)^(1/2) tanh(y)^(1/2) e^(-Re zeta |x-y|), C fitted near
     # the diagonal and checked far from it (mu > 0 branch of the bound)
@@ -172,6 +187,11 @@ def test_wronskian_roots_match_levels_random_pairs():
         assert len(roots) == rep.count, (mu, nu)
         for root, lv in zip(roots, rep.levels):
             assert abs(root - lv.zeta) < 1e-10, (mu, nu)
+
+
+def test_wronskian_roots_take_a_node_zero_once():
+    # delta = 0.25 puts scan nodes exactly on both levels, 4 and 2
+    assert wronskian_roots(ModelParams(0.0, 5.0), delta=0.25) == [4.0, 2.0]
 
 
 def test_shooting_count_matches_report():
