@@ -324,16 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("winding", help="winding contributions for one parameter pair")
     common(sp)
-    sp.add_argument("--k-max", type=float, default=200.0)
-    sp.add_argument("--s-max", type=float, default=50.0)
+    sp.add_argument("--k-max", type=float, default=index_mod.K_EDGE_DEFAULT)
+    sp.add_argument("--s-max", type=float, default=index_mod.S_MAX_DEFAULT)
     sp.set_defaults(func=cmd_winding)
 
     sp = sub.add_parser("verify-index", help="index-theorem verification over a grid")
     common(sp)
     sp.add_argument("--mu-grid", default=None, help="mu range start:stop:count")
     sp.add_argument("--nu-grid", default=None, help="nu range start:stop:count")
-    sp.add_argument("--k-max", type=float, default=200.0)
-    sp.add_argument("--s-max", type=float, default=50.0)
+    sp.add_argument("--k-max", type=float, default=index_mod.K_EDGE_DEFAULT)
+    sp.add_argument("--s-max", type=float, default=index_mod.S_MAX_DEFAULT)
     sp.set_defaults(func=cmd_verify_index)
 
     sp = sub.add_parser("oracle-check", help="closed forms vs ODE oracle discrepancy table")

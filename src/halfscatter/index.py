@@ -4,9 +4,9 @@ The unitary edge function has four pieces: a dilation-symbol arc at zero
 energy, the scattering function at the top, a gamma-ratio symbol at infinite
 energy, and the constant 1 at the bottom.  Traversed clockwise with the
 convention value = exp(-2*pi*i*phase), its total winding equals the number of
-bound states.  The numeric winding follows truncated edges with adaptively
-unwrapped phases and adds the analytic tail corrections, which converge like
-1/k and would otherwise pollute the integer at the 1e-2 level.
+bound states.  The numeric winding takes the scattering and infinite-energy
+edges' phase from their log-gamma sums, which no sampling can alias, unwraps
+the elementary zero-energy edge, and adds analytic tail corrections.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import loggamma
 
 from .model import BetaClass, ModelParams, classify_beta
 from .phase import edge_phase_change
-from .scattering import sigma, sigma_at_zero
+from .scattering import log_sigma, sigma, sigma_at_zero
+from .specfun import log_gamma_ratio
 from .spectral import bound_states
 
 __all__ = [
@@ -33,8 +33,11 @@ __all__ = [
     "verify_index",
 ]
 
-K_EDGE_DEFAULT = 200.0  # truncation of the scattering edge of the square
-S_MAX_DEFAULT = 50.0
+# Edge truncations: there each tail phase left for mu, nu <= 50 is below 0.05
+# rad, far inside the pi a principal tail correction resolves.
+K_EDGE_DEFAULT = 1e6
+S_MAX_DEFAULT = 1e6
+_K_START = 1e-9  # start of the scattering edge, where sigma is near sigma_at_zero
 
 
 def lambda1(params: ModelParams, s):
@@ -42,28 +45,30 @@ def lambda1(params: ModelParams, s):
     nonpositive integer, constant 1 otherwise."""
     s = np.asarray(s, dtype=float)
     if classify_beta(params).kind == "negative_integer":
-        out = -np.tanh(np.pi * s) + 1j / np.cosh(np.pi * s)
+        # exp(i (pi/2 + gd(pi s))), the Gudermannian gd(x) = 2 arctan(tanh(x/2)) free of overflow
+        out = np.exp(1j * (0.5 * np.pi + 2.0 * np.arctan(np.tanh(0.5 * np.pi * s))))
     else:
         out = np.ones(s.shape, dtype=complex)
     return complex(out) if out.ndim == 0 else out
 
 
+def _log_lambda3_theta(mu: float, s):
+    """Log of lambda3_theta, purely imaginary and continuous in s: its
+    denominator gammas are the conjugates of its numerator gammas."""
+    is2 = 0.5j * np.asarray(s, dtype=float)
+    return 1j * (2.0 * log_gamma_ratio(((mu + 1.0) / 2.0 - is2, 0.75 + is2), ()).imag - 0.5 * np.pi * (mu - 0.5))
+
+
 def lambda3_theta(mu: float, s):
     """Right edge (infinite energy): phase-shifted gamma-ratio dilation symbol."""
-    s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    is2 = 0.5j * np.atleast_1d(s)
-    a = (mu + 1.0) / 2.0
-    ratio = np.exp(
-        loggamma(a - is2) + loggamma(0.75 + is2) - loggamma(a + is2) - loggamma(0.75 - is2)
-    )
-    out = np.exp(-0.5j * np.pi * (mu - 0.5)) * ratio
-    return complex(out[0]) if scalar else out
+    out = np.exp(_log_lambda3_theta(mu, s))
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class EdgeFunction:
-    """One oriented edge of the square with its analytic endpoint limits."""
+    """One oriented edge of the square with its analytic endpoint limits and,
+    where its imaginary part is a continuous phase, the log of the evaluator."""
 
     edge: int
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -71,6 +76,7 @@ class EdgeFunction:
     t_end: float
     start_limit: complex
     end_limit: complex
+    log_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def square_edges(params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: float = S_MAX_DEFAULT):
@@ -82,8 +88,10 @@ def square_edges(params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: floa
     lam1_end = sig0  # corner continuity: Lambda1(+inf) = sigma(0)
     return (
         EdgeFunction(1, lambda s: lambda1(params, s), -s_max, s_max, lam1_start, lam1_end),
-        EdgeFunction(2, lambda k: sigma(params, k), 0.0, k_max, sig0, sig_inf),
-        EdgeFunction(3, lambda s: lambda3_theta(mu, s), s_max, -s_max, sig_inf, 1.0 + 0.0j),
+        EdgeFunction(2, lambda k: sigma(params, k), _K_START, k_max, sig0, sig_inf, lambda k: log_sigma(params, k)),
+        EdgeFunction(
+            3, lambda s: lambda3_theta(mu, s), s_max, -s_max, sig_inf, 1.0 + 0.0j, lambda s: _log_lambda3_theta(mu, s)
+        ),
         EdgeFunction(4, lambda k: np.ones(np.asarray(k).shape, dtype=complex), k_max, 0.0, 1.0 + 0.0j, 1.0 + 0.0j),
     )
 
@@ -106,37 +114,24 @@ def winding_contributions(params: ModelParams):
     return (w1, w2, w3, w4)
 
 
-def _edge_grid(edge: EdgeFunction) -> np.ndarray:
-    if edge.edge == 2:
-        k_max = edge.t_end
-        lo = np.geomspace(1e-6, min(1.0, k_max), 80)
-        hi = np.linspace(min(1.0, k_max), k_max, 240)
-        return np.unique(np.concatenate([lo, hi]))
-    # dilation edges: phase moves on an O(1) scale around s = 0
-    return np.linspace(edge.t_start, edge.t_end, 401)
-
-
 def winding_numeric(params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: float = S_MAX_DEFAULT) -> float:
-    """Winding number from unwrapped truncated edges plus analytic tails.
+    """Winding number from the truncated edges plus analytic tail corrections.
 
-    Matches the closed-form contributions to machine precision when the
-    truncations are generous enough that the leftover tail phase is below pi
-    (k_max >= 200, s_max >= 50 is ample for the tested parameter ranges).
+    An edge with a log takes its phase change from the log's imaginary part,
+    with principal tail corrections (right below pi); the zero-energy edge
+    turns by pi within |s| < 2 and is unwrapped from its endpoints.
     """
     total = 0.0
     for edge in square_edges(params, k_max, s_max):
-        if edge.edge == 4:
-            continue  # constant edge
-        if edge.edge == 1 and classify_beta(params).kind != "negative_integer":
-            continue  # constant edge in this class
-        delta = edge_phase_change(
-            edge.evaluator,
-            edge.t_start,
-            edge.t_end,
-            edge.start_limit,
-            edge.end_limit,
-            _edge_grid(edge),
-        )
+        ends = (edge.t_start, edge.t_end)
+        if edge.log_evaluator is not None:
+            start, end = edge.log_evaluator(np.array(ends))
+            tails = np.angle(np.exp(start) / edge.start_limit) + np.angle(edge.end_limit / np.exp(end))
+            delta = tails + (end - start).imag
+        elif edge.edge == 1 and classify_beta(params).kind == "negative_integer":
+            delta = edge_phase_change(edge.evaluator, *ends, edge.start_limit, edge.end_limit, ends)
+        else:
+            continue  # a constant edge
         total += -delta / (2.0 * np.pi)
     return total
 

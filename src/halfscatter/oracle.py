@@ -174,7 +174,8 @@ def count_bound_states_shooting(
 ) -> int:
     """Number of nodes of the regular solution at energy just below zero.
 
-    By Sturm oscillation this equals the number of eigenvalues.
+    By Sturm oscillation this equals the number of eigenvalues.  Past x_max
+    u is close to linear, so a node beyond it shows as u u' < 0 at x_max.
     """
 
     def node(x, y):
@@ -182,7 +183,8 @@ def count_bound_states_shooting(
 
     u0, du0 = _regular_data(params, x0)
     sol = _integrate(params, -1e-8, (x0, x_max), u0, du0, tol, events=node)
-    return len(sol._events[0])
+    u, du = sol(x_max)
+    return len(sol._events[0]) + int((u * du).real < 0)
 
 
 def greens_function_oracle(

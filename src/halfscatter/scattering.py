@@ -13,17 +13,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import DomainError, QuadratureWarning
 from .model import ModelParams, classify_beta
-from .phase import unwrap_on_nodes
 from .solutions import SpectralPoint, eval_L, eval_N, wronskian
-from .specfun import beta_fn
+from .specfun import beta_fn, log_gamma_ratio
 
 __all__ = [
     "ScatteringSample",
     "SampledFunction",
+    "log_sigma",
     "sigma",
     "sigma_at_zero",
     "sigma_samples",
@@ -43,18 +42,21 @@ X_MAX_DEFAULT = 30.0
 K_CUTOFF_DEFAULT = 40.0  # k-integration cutoff of the transforms
 
 
-def sigma(params: ModelParams, k):
-    """Unimodular scattering function, a four-gamma product ratio; k > 0."""
+def log_sigma(params: ModelParams, k):
+    """Log of sigma(k), k > 0: 2i Im of its numerator gammas' log sum, as the
+    denominator gammas are their conjugates.  No gamma argument meets the
+    negative real axis, so the phase is continuous in k."""
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
         raise DomainError("sigma requires k > 0 (use sigma_at_zero for the endpoint)")
-    scalar = k.ndim == 0
-    ik2 = 0.5j * np.atleast_1d(k)
-    a, b = params.alpha, params.beta
-    num = loggamma(a - ik2) + loggamma(b - ik2) + loggamma(1.0 + ik2) + loggamma(0.5 + ik2)
-    den = loggamma(a + ik2) + loggamma(b + ik2) + loggamma(1.0 - ik2) + loggamma(0.5 - ik2)
-    out = np.exp(num - den)
-    return complex(out[0]) if scalar else out
+    ik2 = 0.5j * k
+    return 2j * log_gamma_ratio((params.alpha - ik2, params.beta - ik2, 1.0 + ik2, 0.5 + ik2), ()).imag
+
+
+def sigma(params: ModelParams, k):
+    """Unimodular scattering function, a four-gamma product ratio; k > 0."""
+    out = np.exp(log_sigma(params, k))
+    return complex(out) if out.ndim == 0 else out
 
 
 def sigma_at_zero(params: ModelParams) -> float:
@@ -70,20 +72,14 @@ class ScatteringSample:
 
 
 def sigma_samples(params: ModelParams, k_nodes) -> list[ScatteringSample]:
-    """Scattering samples on a k-grid with a continuously unwrapped phase.
-
-    The phase is anchored at the principal argument of the first node and is
-    kept continuous by adaptive refinement between user nodes.
-    """
-    k_nodes = np.asarray(k_nodes, dtype=float)
-    values = sigma(params, k_nodes)
-    if k_nodes.size == 1:
-        phases = np.angle(values)
-    else:
-        phases = unwrap_on_nodes(lambda kk: sigma(params, kk), k_nodes)
+    """Scattering samples on a k-grid; the phase is the principal argument at
+    the first node plus the change of Im log_sigma, which cannot alias."""
+    logs = np.atleast_1d(log_sigma(params, k_nodes))
+    values = np.exp(logs)
+    phases = np.angle(values[0]) + (logs - logs[0]).imag
     return [
         ScatteringSample(k=float(kk), sigma=complex(vv), phase=float(ph))
-        for kk, vv, ph in zip(np.atleast_1d(k_nodes), np.atleast_1d(values), np.atleast_1d(phases))
+        for kk, vv, ph in zip(np.atleast_1d(k_nodes), values, phases)
     ]
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidCError, PoleError
 from .model import ModelParams
-from .specfun import _near_int, _nonpos_int, gamma_ratio, hyp2f1_values, log_gamma
+from .specfun import _near_int, _nonpos_int, gamma_ratio, hyp2f1_values, log_gamma_ratio
 
 __all__ = [
     "SpectralPoint",
@@ -151,19 +151,11 @@ def connection_coefficients(params: ModelParams, pt: SpectralPoint) -> Connectio
     zeta = pt.zeta
     if not pt.is_boundary and _near_int(zeta)[0]:
         raise PoleError(f"Gamma(+/-zeta) pole at integer zeta = {zeta}")
-    c_M = gamma_ratio(
-        (1.0 + params.mu, -zeta),
-        (params.alpha - zeta / 2.0, params.beta - zeta / 2.0),
-    )
-    c_N = gamma_ratio(
-        (1.0 + params.mu, zeta),
-        (params.alpha + zeta / 2.0, params.beta + zeta / 2.0),
-    )
+    z = np.stack([-zeta, zeta])  # c_M, then c_N, from one broadcast gamma product
+    c_M, c_N = gamma_ratio((1.0 + params.mu, z), (params.alpha + z / 2.0, params.beta + z / 2.0))
     return ConnectionCoefficients(c_M=c_M, c_N=c_N)
 
 
 def wronskian_scale(params: ModelParams, pt: SpectralPoint) -> float:
     """Magnitude of the Wronskian numerator, the natural near-zero scale."""
-    return float(
-        2.0 * np.exp((log_gamma(1.0 + params.mu) + log_gamma(1.0 + pt.zeta)).real)
-    )
+    return float(2.0 * np.exp(log_gamma_ratio((1.0 + params.mu, 1.0 + pt.zeta), ()).real))

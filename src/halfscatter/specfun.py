@@ -17,6 +17,7 @@ from .errors import InvalidCError, NoConvergenceError, PoleError
 
 __all__ = [
     "log_gamma",
+    "log_gamma_ratio",
     "digamma",
     "pochhammer",
     "beta_fn",
@@ -55,9 +56,7 @@ def _nonpos_int(z, tol=_INT_TOL):
 
 def log_gamma(z) -> complex:
     """Principal-branch log Gamma(z); raises PoleError at nonpositive integers."""
-    if _nonpos_int(z, 1e-14):
-        raise PoleError(f"log_gamma pole at z = {z}")
-    return complex(_sc.loggamma(complex(z)))
+    return log_gamma_ratio((z,), ())
 
 
 def digamma(z) -> complex:
@@ -78,15 +77,8 @@ def pochhammer(q, n: int) -> complex:
     return out
 
 
-def gamma_ratio(numerators, denominators):
-    """Product of Gamma over numerators divided by Gamma over denominators.
-
-    The arguments broadcast against each other and the ratio is evaluated per
-    lane in log space, once per run of lanes with equal arguments (a
-    broadcast repeats each parameter along its inner axes).  A pole among a
-    lane's denominators makes its ratio an exact zero; otherwise a pole among
-    its numerators raises PoleError.
-    """
+def _log_gamma_runs(numerators, denominators):
+    """log_gamma_ratio per run of equal lanes: sums, denominator-pole mask, run of each lane, shape."""
     values, n_num = (*numerators, *denominators), len(numerators)
     shape = np.broadcast(*values).shape
     args = np.empty((len(values),) + shape, dtype=complex)
@@ -98,21 +90,41 @@ def gamma_ratio(numerators, denominators):
     poles = _nonpos_int(args[:, head], 1e-14)
     zero = poles[n_num:].any(axis=0)
     if np.any(poles[:n_num] & ~zero):
-        raise PoleError("gamma_ratio: numerator at a pole of Gamma")
+        raise PoleError("gamma ratio: numerator at a pole of Gamma")
     with np.errstate(all="ignore"):
         lg = _sc.loggamma(args[:, head])
         acc = np.zeros(lg.shape[1], dtype=complex)
         for i in range(len(lg)):
             acc = acc + lg[i] if i < n_num else acc - lg[i]
-        out = np.where(zero, 0.0, np.exp(acc))[np.cumsum(head) - 1].reshape(shape)
+    return acc, zero, np.cumsum(head) - 1, shape
+
+
+def log_gamma_ratio(numerators, denominators):
+    """Sum of principal log Gamma over numerators minus that over denominators.
+
+    The arguments broadcast against each other and the sum is evaluated once
+    per run of lanes with equal arguments (a broadcast repeats each parameter
+    along its inner axes).  Each term is analytic off the negative real axis,
+    so on a path avoiding it the imaginary part is a continuous phase.  A
+    denominator pole gives -inf; otherwise a numerator pole raises PoleError.
+    """
+    acc, zero, run, shape = _log_gamma_runs(numerators, denominators)
+    out = np.where(zero, -np.inf, acc)[run].reshape(shape)
+    return complex(out) if out.ndim == 0 else out
+
+
+def gamma_ratio(numerators, denominators):
+    """Product of Gamma over numerators divided by Gamma over denominators: the
+    exp of log_gamma_ratio, taken once per run, with an exact zero at a pole."""
+    acc, zero, run, shape = _log_gamma_runs(numerators, denominators)
+    with np.errstate(all="ignore"):
+        out = np.where(zero, 0.0, np.exp(acc))[run].reshape(shape)
     return complex(out) if out.ndim == 0 else out
 
 
 def beta_fn(a, b) -> complex:
-    """Beta function Gamma(a)Gamma(b)/Gamma(a+b) via log-gamma."""
-    if _nonpos_int(complex(a) + complex(b), 1e-14):
-        raise PoleError(f"beta_fn pole at a+b = {complex(a) + complex(b)}")
-    return complex(np.exp(log_gamma(a) + log_gamma(b) - log_gamma(complex(a) + complex(b))))
+    """Beta function Gamma(a)Gamma(b)/Gamma(a+b)."""
+    return gamma_ratio((a, b), (complex(a) + complex(b),))
 
 
 def bessel_script_J(mu: float, x) -> float | np.ndarray:

@@ -5,13 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import roots_jacobi
 
-from .errors import AtEigenvalueError, DomainError
+from .errors import AtEigenvalueError
 from .model import ModelParams
 from .solutions import SpectralPoint, eval_L, eval_M, wronskian
-from .specfun import _nonpos_int
+from .specfun import _nonpos_int, hyp2f1_values
 
 __all__ = [
     "BoundStateLevel",
@@ -136,7 +136,7 @@ def eigenfunction(params: ModelParams, n: int, normalized: bool = False):
     """Bound-state profile as a callable x -> real value, decaying like e^(-zeta_n x).
 
     Unnormalized by default (no normalization is canonical here); pass
-    normalized=True for unit L2 norm via adaptive quadrature.
+    normalized=True for unit L2 norm by Gauss-Jacobi quadrature.
     """
     report = bound_states(params)
     if not 0 <= n < report.count:
@@ -150,10 +150,11 @@ def eigenfunction(params: ModelParams, n: int, normalized: bool = False):
 
     if not normalized:
         return profile
-    norm_sq, err = quad(lambda t: profile(t) ** 2, 0.0, np.inf, epsrel=1e-8, limit=200)
-    if norm_sq <= 0 or err > 1e-6 * norm_sq:
-        raise DomainError("eigenfunction normalization quadrature failed")
-    scale = 1.0 / np.sqrt(norm_sq)
+    # with t = sech^2 x the squared norm is (1/2) int_0^1 (1-t)^mu t^(zeta_n-1) F(t)^2 dt,
+    # F the degree-n terminating 2F1 of M, which n+2 Gauss-Jacobi nodes integrate exactly
+    u, w = roots_jacobi(n + 2, params.mu, zeta_n - 1.0)
+    f = hyp2f1_values(params.alpha + zeta_n / 2.0, params.beta + zeta_n / 2.0, 1.0 + zeta_n, (1.0 + u) / 2.0)
+    scale = 1.0 / np.sqrt(2.0 ** (-1.0 - params.mu - zeta_n) * np.sum(w * f.real**2))
 
     def normalized_profile(x):
         return scale * profile(x)

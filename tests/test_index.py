@@ -100,6 +100,8 @@ def test_verify_index_sweep():
     rng = np.random.default_rng(5)
     pairs = [(0.0, 3.0), (2.0, 0.0), (0.0, 2.5), (1.0, 4.0), (0.5, 0.5)]
     pairs += [(rng.uniform(0, 4), rng.uniform(0, 4)) for _ in range(7)]
+    # sampled phases aliased by whole turns and short truncations left tails over pi here
+    pairs += [(0.0, 30.0), (0.0, 40.0), (20.0, 0.3), (30.0, 0.3), (45.9, 91.9)]
     for mu, nu in pairs:
         rep = verify_index(ModelParams(mu, nu))
         assert rep.passed, (mu, nu, rep)

@@ -93,7 +93,10 @@ def test_extract_sigma_ill_conditioned_window():
 
 
 @pytest.mark.parametrize(
-    "mu,nu,count", [(2.0, 0.0, 0), (0.0, 3.0, 1), (0.0, 5.0, 2), (0.0, 2.5, 1), (1.0, 4.0, 1)]
+    "mu,nu,count",
+    [(2.0, 0.0, 0), (0.0, 3.0, 1), (0.0, 5.0, 2), (0.0, 2.5, 1), (1.0, 4.0, 1)]
+    # weakly bound levels, whose node lies beyond x_max
+    + [(0.0, 1.01, 1), (0.0, 1.001, 1), (0.0, 1.0001, 1), (1.0, 4.01, 2), (0.0, 3.001, 2), (2.0, 3.02, 1)],
 )
 def test_node_counting(mu, nu, count):
     assert count_bound_states_shooting(ModelParams(mu, nu)) == count

@@ -87,6 +87,25 @@ def test_sigma_samples_unwrap():
     assert all(abs(s.phase) < 1e-13 for s in free)
 
 
+def test_sigma_samples_phase_at_large_parameters():
+    # at (30.2, 35.9) sampling aliased the phase by whole turns; the log-gamma
+    # phase matches mpmath's continuous loggamma phase on every node
+    mp = pytest.importorskip("mpmath")
+    p, ks = ModelParams(30.2, 35.9), np.linspace(0.0015, 195.0, 100)
+    phases = np.array([s.phase for s in sigma_samples(p, ks)])
+    with mp.workdps(30):
+        a, b = mp.mpf(p.alpha), mp.mpf(p.beta)
+
+        def log_sigma_mp(k):
+            ik2 = mp.mpc(0, k) / 2
+            num = mp.loggamma(a - ik2) + mp.loggamma(b - ik2) + mp.loggamma(1 + ik2) + mp.loggamma(0.5 + ik2)
+            return num - mp.loggamma(a + ik2) - mp.loggamma(b + ik2) - mp.loggamma(1 - ik2) - mp.loggamma(0.5 - ik2)
+
+        logs = [log_sigma_mp(k) for k in ks]
+        ref = np.array([float(mp.arg(mp.exp(logs[0])) + mp.im(s - logs[0])) for s in logs])
+    assert np.max(np.abs(phases - ref)) < 1e-8
+
+
 def test_fourier_kernel_free_case():
     xs = np.linspace(0.01, 10, 80)
     for k in (0.1, 1.0, 5.0):

@@ -27,6 +27,7 @@ def _run(script, *args, cwd):
     "script,args",
     [
         ("index_sweep.py", (1.0, 2.0, 1.0)),
+        ("index_sweep.py", (45.0, 45.0, 15.0)),
         ("resolvent_profiles.py", (1.0, 2.0, 1.5, 0.5)),
     ],
 )

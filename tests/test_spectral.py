@@ -233,6 +233,24 @@ def test_eigenfunction_normalized():
     assert abs(norm_sq - 1.0) < 1e-7
 
 
+@pytest.mark.parametrize("mu,nu,n", [(0.0, 20.0, 4), (0.0, 20.0, 8), (1.5, 9.2, 2)])
+def test_eigenfunction_normalized_against_mpmath(mu, nu, n):
+    # adaptive quadrature could not certify these norms; mpmath integrates
+    # the squared closed form over x
+    mp = pytest.importorskip("mpmath")
+    p = ModelParams(mu, nu)
+    zeta = bound_states(p).levels[n].zeta
+    f, g = eigenfunction(p, n, normalized=True), eigenfunction(p, n)
+    with mp.workdps(30):
+        a, b, z = mp.mpf(p.alpha) + zeta / 2, mp.mpf(p.beta) + zeta / 2, mp.mpf(zeta)
+
+        def m(x):
+            return mp.tanh(x) ** (mp.mpf(0.5) + mu) * mp.cosh(x) ** -z * mp.hyp2f1(a, b, 1 + z, mp.sech(x) ** 2)
+
+        norm_sq = float(mp.quad(lambda x: m(x) ** 2, [0, 0.5, 1, 2, 4, 8, mp.inf]))
+    assert abs(norm_sq * (f(1.0) / g(1.0)) ** 2 - 1.0) < 1e-10
+
+
 def test_eigenfunction_orthogonal_to_continuum():
     p = ModelParams(0.0, 3.0)
     f = eigenfunction(p, 0, normalized=True)
