@@ -27,8 +27,8 @@ def _run(script, *args, cwd):
     "script,args",
     [
         ("index_sweep.py", (1.0, 2.0, 1.0)),
-        ("index_sweep.py", (45.0, 45.0, 15.0)),
         ("resolvent_profiles.py", (1.0, 2.0, 1.5, 0.5)),
+        ("index_sweep.py", (45.0, 45.0, 15.0)),
     ],
 )
 def test_script_exits_0(script, args, tmp_path):
