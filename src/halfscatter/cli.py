@@ -9,7 +9,9 @@ identical configs produce byte-identical, round-trip-exact artifacts.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 
 import numpy as np
@@ -68,19 +70,27 @@ def _json_dump(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
+def _finite_float(part: str, text: str) -> float:
+    """float(part), part of the argument text; raises UsageError unless it is finite."""
+    try:
+        value = float(part)
+    except ValueError as exc:
+        raise UsageError(f"bad number {part!r} in {text!r}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"{text!r} is not finite")
+    return value
+
+
 def parse_range(text: str) -> np.ndarray:
-    """Parse 'start:stop:count' (inclusive endpoints) or a bare scalar."""
+    """Parse 'start:stop:count' (inclusive endpoints) or a bare scalar, both finite."""
     text = str(text)
     if ":" not in text:
-        try:
-            return np.array([float(text)])
-        except ValueError as exc:
-            raise UsageError(f"bad number {text!r}") from exc
+        return np.array([_finite_float(text, text)])
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"bad range {text!r}, expected start:stop:count")
+    start, stop = _finite_float(parts[0], text), _finite_float(parts[1], text)
     try:
-        start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad range {text!r}") from exc
@@ -93,9 +103,12 @@ def parse_range(text: str) -> np.ndarray:
 
 def parse_complex(text: str) -> complex:
     try:
-        return complex(str(text).replace(" ", ""))
+        value = complex(str(text).replace(" ", ""))
     except ValueError as exc:
         raise UsageError(f"bad complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise UsageError(f"{text!r} is not finite")
+    return value
 
 
 def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:

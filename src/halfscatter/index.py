@@ -38,6 +38,7 @@ __all__ = [
 K_EDGE_DEFAULT = 1e6
 S_MAX_DEFAULT = 1e6
 _K_START = 1e-9  # start of the scattering edge, where sigma is near sigma_at_zero
+_INDEX_TOL = 1e-6  # largest |winding - count| verify_index passes
 
 
 def lambda1(params: ModelParams, s):
@@ -129,7 +130,7 @@ def winding_numeric(params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: f
             tails = np.angle(np.exp(start) / edge.start_limit) + np.angle(edge.end_limit / np.exp(end))
             delta = tails + (end - start).imag
         elif edge.edge == 1 and classify_beta(params).kind == "negative_integer":
-            delta = edge_phase_change(edge.evaluator, *ends, edge.start_limit, edge.end_limit, ends)
+            delta = edge_phase_change(edge.evaluator, edge.start_limit, edge.end_limit, ends)
         else:
             continue  # a constant edge
         total += -delta / (2.0 * np.pi)
@@ -164,15 +165,13 @@ class IndexReport:
         }
 
 
-def verify_index(
-    params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: float = S_MAX_DEFAULT, tol: float = 1e-6
-) -> IndexReport:
+def verify_index(params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: float = S_MAX_DEFAULT) -> IndexReport:
     """Check closed-form winding, numeric winding, and bound-state count agree."""
     omega = winding_contributions(params)
     closed = float(sum(omega))
     numeric = winding_numeric(params, k_max, s_max)
     count = bound_states(params).count
-    passed = abs(closed - count) < tol and abs(numeric - count) < tol
+    passed = abs(closed - count) < _INDEX_TOL and abs(numeric - count) < _INDEX_TOL
     return IndexReport(
         mu=params.mu,
         nu=params.nu,

@@ -24,8 +24,8 @@ class ModelParams:
     nu: float
 
     def __post_init__(self):
-        if self.mu < 0 or self.nu < 0:
-            raise DomainError(f"parameters must satisfy mu, nu >= 0, got ({self.mu}, {self.nu})")
+        if not (0 <= self.mu < math.inf and 0 <= self.nu < math.inf):
+            raise DomainError(f"parameters must be finite with mu, nu >= 0, got ({self.mu}, {self.nu})")
 
     @property
     def alpha(self) -> float:
@@ -52,11 +52,11 @@ class BetaClass:
         return f"negative_noninteger({self.n},{self.epsilon:.12g})"
 
 
-def classify_beta(params: ModelParams, tol: float = BETA_INT_TOL) -> BetaClass:
-    """Classify beta = (1+mu-nu)/2; the integer test wins within tol."""
+def classify_beta(params: ModelParams) -> BetaClass:
+    """Classify beta = (1+mu-nu)/2; the integer test wins within BETA_INT_TOL."""
     beta = params.beta
     r = round(beta)
-    if abs(beta - r) < tol and r <= 0:
+    if abs(beta - r) < BETA_INT_TOL and r <= 0:
         return BetaClass("negative_integer", n=-r)
     if beta > 0:
         return BetaClass("positive")

@@ -29,16 +29,20 @@ __all__ = [
 ]
 
 _DEFAULT_TOL = 1e-10
+X_FAR = 30.0  # start of the inward integration of the decaying solution
+# Start of the regular solves of extract_sigma and greens_function_oracle: the
+# leading-power data there is good to about x0^(2+2mu), the solve tolerance.
+X0_FINE = 1e-5
+# The shooting count: regular data at SHOOT_X0, nodes counted up to SHOOT_X_MAX.
+SHOOT_X0 = 1e-3
+SHOOT_X_MAX = 25.0
+SHOOT_TOL = 1e-8
 
 
 @dataclass
 class OdeSolution:
-    """Sampled solution with derivative values and a dense evaluator."""
+    """Dense evaluator of an integrated solution, with the solve's event times."""
 
-    x: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
-    tol: float
     _dense: Callable
     _events: list | None = None
 
@@ -65,9 +69,9 @@ def _rhs_complex(params: ModelParams, energy: complex):
     return rhs
 
 
-def _integrate(params, energy, span, u0, du0, tol, atol=None, events=None, n_samples=200) -> OdeSolution:
+def _integrate(params, energy, span, u0, du0, tol, atol=None, events=None) -> OdeSolution:
     """Integrate -u'' + V u = E u over span, forward or backward, from (u0, du0)
-    at span[0]; sampled on n_samples points spanning it in increasing order.
+    at span[0].
 
     atol defaults to tol times the larger initial magnitude.
     """
@@ -86,9 +90,7 @@ def _integrate(params, energy, span, u0, du0, tol, atol=None, events=None, n_sam
     )
     if not sol.success:
         raise StepFailureError(f"integration over {span} failed: {sol.message}")
-    xs = np.linspace(min(span), max(span), n_samples)
-    ys = sol.sol(xs)
-    return OdeSolution(xs, ys[0] + 1j * ys[1], ys[2] + 1j * ys[3], tol, sol.sol, sol.t_events)
+    return OdeSolution(sol.sol, sol.t_events)
 
 
 def _regular_data(params: ModelParams, x0: float):
@@ -103,7 +105,6 @@ def integrate_regular(
     x0: float = 1e-3,
     x1: float = 12.0,
     tol: float = _DEFAULT_TOL,
-    n_samples: int = 200,
 ) -> OdeSolution:
     """Integrate -u'' + V u = E u outward from regular data u(x0) = x0^(1/2+mu).
 
@@ -114,14 +115,14 @@ def integrate_regular(
     if x0 <= 0 or x1 <= x0:
         raise DomainError("need 0 < x0 < x1")
     u0, du0 = _regular_data(params, x0)
-    return _integrate(params, energy, (x0, x1), u0, du0, tol, n_samples=n_samples)
+    return _integrate(params, energy, (x0, x1), u0, du0, tol)
 
 
 def integrate_decaying(
     params: ModelParams,
     pt: SpectralPoint,
     x_low: float,
-    x_far: float = 30.0,
+    x_far: float = X_FAR,
     tol: float = _DEFAULT_TOL,
 ) -> OdeSolution:
     """Integrate inward from x_far with free decaying data e^(-zeta x).
@@ -134,14 +135,7 @@ def integrate_decaying(
     return _integrate(params, -(zeta**2), (x_far, x_low), scale, -zeta * scale, tol, tol * abs(scale))
 
 
-def extract_sigma(
-    params: ModelParams,
-    k: float,
-    fit_window: tuple[float, float] = (8.0, 12.0),
-    n_fit: int = 64,
-    x0: float = 1e-5,
-    tol: float = _DEFAULT_TOL,
-) -> complex:
+def extract_sigma(params: ModelParams, k: float, fit_window: tuple[float, float] = (8.0, 12.0)) -> complex:
     """Scattering function from a least-squares plane-wave fit of the regular solution.
 
     On the window the integrated solution is A e^(ikx) + B e^(-ikx) up to
@@ -152,8 +146,8 @@ def extract_sigma(
     if k <= 0:
         raise DomainError("extract_sigma requires k > 0")
     lo, hi = fit_window
-    sol = integrate_regular(params, energy=k * k, x0=x0, x1=hi, tol=tol)
-    xs = np.linspace(lo, hi, n_fit)
+    sol = integrate_regular(params, energy=k * k, x0=X0_FINE, x1=hi)
+    xs = np.linspace(lo, hi, 64)
     u, _ = sol(xs)
     design = np.column_stack([np.exp(1j * k * xs), np.exp(-1j * k * xs)])
     cond = np.linalg.cond(design)
@@ -166,36 +160,24 @@ def extract_sigma(
     return complex(-a_out / b_in)
 
 
-def count_bound_states_shooting(
-    params: ModelParams,
-    x0: float = 1e-3,
-    x_max: float = 25.0,
-    tol: float = 1e-8,
-) -> int:
+def count_bound_states_shooting(params: ModelParams) -> int:
     """Number of nodes of the regular solution at energy just below zero.
 
-    By Sturm oscillation this equals the number of eigenvalues.  Past x_max
-    u is close to linear, so a node beyond it shows as u u' < 0 at x_max.
+    By Sturm oscillation this equals the number of eigenvalues.  Past
+    SHOOT_X_MAX u is close to linear, so a node beyond it shows as u u' < 0
+    at SHOOT_X_MAX.
     """
 
     def node(x, y):
         return y[0]
 
-    u0, du0 = _regular_data(params, x0)
-    sol = _integrate(params, -1e-8, (x0, x_max), u0, du0, tol, events=node)
-    u, du = sol(x_max)
+    u0, du0 = _regular_data(params, SHOOT_X0)
+    sol = _integrate(params, -1e-8, (SHOOT_X0, SHOOT_X_MAX), u0, du0, SHOOT_TOL, events=node)
+    u, du = sol(SHOOT_X_MAX)
     return len(sol._events[0]) + int((u * du).real < 0)
 
 
-def greens_function_oracle(
-    params: ModelParams,
-    pt: SpectralPoint,
-    x: float,
-    y: float,
-    x0: float = 1e-5,
-    x_far: float = 30.0,
-    tol: float = _DEFAULT_TOL,
-) -> complex:
+def greens_function_oracle(params: ModelParams, pt: SpectralPoint, x: float, y: float) -> complex:
     """Resolvent kernel rebuilt from two integrated solutions.
 
     -(regular at min)(decaying at max) / numerical Wronskian; the arbitrary
@@ -203,8 +185,8 @@ def greens_function_oracle(
     """
     lo, hi = min(x, y), max(x, y)
     zeta = complex(pt.zeta)
-    reg = integrate_regular(params, energy=-(zeta**2), x0=x0, x1=hi, tol=tol)
-    dec = integrate_decaying(params, pt, x_low=lo * 0.5, x_far=x_far, tol=tol)
+    reg = integrate_regular(params, energy=-(zeta**2), x0=X0_FINE, x1=hi)
+    dec = integrate_decaying(params, pt, x_low=lo * 0.5)
     u_r, du_r = reg(hi)
     u_d, du_d = dec(hi)
     u_r_lo, _ = reg(lo)

@@ -18,8 +18,8 @@ MAX_JUMP = np.pi / 4.0
 _MAX_POINTS = 500_000
 
 
-def refine_path(fn, t_nodes, max_jump: float = MAX_JUMP, max_points: int = _MAX_POINTS):
-    """Sample fn along t_nodes, bisecting until adjacent phase steps < max_jump.
+def refine_path(fn, t_nodes):
+    """Sample fn along t_nodes, bisecting until adjacent phase steps < MAX_JUMP.
 
     fn must accept a 1-d array and return complex values.  Returns
     (t, values, is_node) with the original nodes flagged in order.
@@ -34,12 +34,12 @@ def refine_path(fn, t_nodes, max_jump: float = MAX_JUMP, max_points: int = _MAX_
         if np.any(arr == 0) or np.any(~np.isfinite(arr)):
             raise UnwrapError("path value vanished or overflowed; cannot track phase")
         inc = np.angle(arr[1:] / arr[:-1])
-        bad = np.nonzero(np.abs(inc) >= max_jump)[0]
+        bad = np.nonzero(np.abs(inc) >= MAX_JUMP)[0]
         if bad.size == 0:
             return np.asarray(ts), arr, np.asarray(is_node)
-        if len(ts) + bad.size > max_points:
+        if len(ts) + bad.size > _MAX_POINTS:
             raise UnwrapError(
-                f"adaptive refinement exceeded {max_points} points with "
+                f"adaptive refinement exceeded {_MAX_POINTS} points with "
                 f"{bad.size} unresolved jumps"
             )
         mids = [(ts[i] + ts[i + 1]) / 2.0 for i in bad]
@@ -54,31 +54,22 @@ def refine_path(fn, t_nodes, max_jump: float = MAX_JUMP, max_points: int = _MAX_
             is_node.insert(i + 1, False)
 
 
-def unwrap_on_nodes(fn, t_nodes, max_jump: float = MAX_JUMP) -> np.ndarray:
+def unwrap_on_nodes(fn, t_nodes) -> np.ndarray:
     """Continuous phase at t_nodes, anchored at the principal argument of the first."""
-    ts, vals, is_node = refine_path(fn, t_nodes, max_jump=max_jump)
+    ts, vals, is_node = refine_path(fn, t_nodes)
     inc = np.angle(vals[1:] / vals[:-1])
     phases = np.concatenate([[np.angle(vals[0])], np.angle(vals[0]) + np.cumsum(inc)])
     return phases[is_node]
 
 
-def edge_phase_change(
-    fn,
-    t_start: float,
-    t_end: float,
-    start_limit: complex,
-    end_limit: complex,
-    init_nodes,
-    max_jump: float = MAX_JUMP,
-) -> float:
+def edge_phase_change(fn, start_limit: complex, end_limit: complex, init_nodes) -> float:
     """Total phase change along a truncated edge, tails corrected analytically.
 
     The residual phase between each truncation point and its analytic endpoint
     limit must be below pi, which the default truncations guarantee; the
     correction is then the principal argument of the ratio.
     """
-    nodes = np.asarray(init_nodes, dtype=float)
-    ts, vals, _ = refine_path(fn, nodes, max_jump=max_jump)
+    _, vals, _ = refine_path(fn, init_nodes)
     inc = np.angle(vals[1:] / vals[:-1])
     start_corr = float(np.angle(vals[0] / complex(start_limit)))
     end_corr = float(np.angle(complex(end_limit) / vals[-1]))

@@ -138,9 +138,6 @@ class SampledFunction:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
 
-    def inner(self, other: "SampledFunction") -> complex:
-        return complex(np.sum(self.weights * np.conj(self.values) * other.values))
-
 
 def quadrature_panels(
     a: float = 0.0,
@@ -167,20 +164,6 @@ def sample_on_panels(fn, a=0.0, b=X_MAX_DEFAULT, panel_width=1.0, nodes_per_pane
     return SampledFunction(grid=x, values=np.asarray(fn(x)), weights=w)
 
 
-def _as_k_grid(k_grid) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(k_grid, SampledFunction):
-        return k_grid.grid, k_grid.weights
-    k = np.asarray(k_grid, dtype=float)
-    if k.size < 2:
-        return k, np.ones_like(k)
-    # plain node array: trapezoid weights
-    w = np.empty_like(k)
-    w[1:-1] = 0.5 * (k[2:] - k[:-2])
-    w[0] = 0.5 * (k[1] - k[0])
-    w[-1] = 0.5 * (k[-1] - k[-2])
-    return k, w
-
-
 def _check_tail(f: SampledFunction, label: str):
     norm = f.norm()
     if norm == 0:
@@ -194,12 +177,12 @@ def _check_tail(f: SampledFunction, label: str):
         )
 
 
-def sine_transform(f: SampledFunction, k_grid) -> SampledFunction:
-    """Unitary sine transform sqrt(2/pi) integral sin(kx) f(x) dx by panel quadrature."""
-    k, kw = _as_k_grid(k_grid)
-    kernel = np.sin(np.outer(k, f.grid))
+def sine_transform(f: SampledFunction, k_grid: SampledFunction) -> SampledFunction:
+    """Unitary sine transform sqrt(2/pi) integral sin(kx) f(x) dx by panel
+    quadrature, on the nodes and weights of k_grid."""
+    kernel = np.sin(np.outer(k_grid.grid, f.grid))
     vals = np.sqrt(2.0 / np.pi) * kernel @ (f.weights * f.values)
-    return SampledFunction(grid=k, values=vals, weights=kw)
+    return SampledFunction(grid=k_grid.grid, values=vals, weights=k_grid.weights)
 
 
 def fourier_kernel_matrix(params: ModelParams, side, x_nodes, k_nodes) -> np.ndarray:
@@ -220,29 +203,28 @@ def fourier_kernel_matrix(params: ModelParams, side, x_nodes, k_nodes) -> np.nda
     return kernel
 
 
-def forward_transform(params: ModelParams, side, f: SampledFunction, k_grid, kernel_matrix=None) -> SampledFunction:
+def forward_transform(
+    params: ModelParams, side, f: SampledFunction, k_grid: SampledFunction, kernel_matrix=None
+) -> SampledFunction:
     """Generalized Fourier transform: (F^side f)(k) = integral kernel^(-side)(x,k) f(x) dx."""
     side = SpectralPoint.parse_side(side)
-    k, kw = _as_k_grid(k_grid)
     _check_tail(f, "forward_transform")
     if kernel_matrix is None:
-        kernel_matrix = fourier_kernel_matrix(params, -side, f.grid, k)
+        kernel_matrix = fourier_kernel_matrix(params, -side, f.grid, k_grid.grid)
     vals = kernel_matrix @ (f.weights * f.values)
-    return SampledFunction(grid=k, values=vals, weights=kw)
+    return SampledFunction(grid=k_grid.grid, values=vals, weights=k_grid.weights)
 
 
-def adjoint_transform(params: ModelParams, side, g: SampledFunction, x_grid, kernel_matrix=None) -> SampledFunction:
+def adjoint_transform(
+    params: ModelParams, side, g: SampledFunction, x_grid: SampledFunction, kernel_matrix=None
+) -> SampledFunction:
     """Adjoint transform: ((F^side)* g)(x) = integral kernel^side(x,k) g(k) dk."""
     side = SpectralPoint.parse_side(side)
-    if isinstance(x_grid, SampledFunction):
-        x, xw = x_grid.grid, x_grid.weights
-    else:
-        x, xw = _as_k_grid(np.asarray(x_grid, dtype=float))
     _check_tail(g, "adjoint_transform")
     if kernel_matrix is None:
-        kernel_matrix = fourier_kernel_matrix(params, side, x, g.grid)
+        kernel_matrix = fourier_kernel_matrix(params, side, x_grid.grid, g.grid)
     vals = kernel_matrix.T @ (g.weights * g.values)
-    return SampledFunction(grid=x, values=vals, weights=xw)
+    return SampledFunction(grid=x_grid.grid, values=vals, weights=x_grid.weights)
 
 
 def wave_operator_apply(

@@ -87,12 +87,14 @@ def _log_gamma_runs(numerators, denominators):
     args = args.reshape(len(values), -1)
     head = np.ones(args.shape[1], dtype=bool)
     head[1:] = np.any(args[:, 1:] != args[:, :-1], axis=0)
-    poles = _nonpos_int(args[:, head], 1e-14)
+    args = args[:, head]
+    # every pole of Gamma is real: a lane with an imaginary part is never one
+    poles = _nonpos_int(args, 1e-14) & (args.imag == 0)
     zero = poles[n_num:].any(axis=0)
     if np.any(poles[:n_num] & ~zero):
         raise PoleError("gamma ratio: numerator at a pole of Gamma")
     with np.errstate(all="ignore"):
-        lg = _sc.loggamma(args[:, head])
+        lg = _sc.loggamma(args)
         acc = np.zeros(lg.shape[1], dtype=complex)
         for i in range(len(lg)):
             acc = acc + lg[i] if i < n_num else acc - lg[i]
@@ -247,7 +249,7 @@ def _linear_transform(a, b, c, w, log_w):
     return out
 
 
-def _log_case(a, b, c, w, log_w, m, max_terms=MAX_TERMS):
+def _log_case(a, b, c, w, log_w, m):
     """F(a,b;a+b+m;z) per lane for one integer m >= 0 near z = 1 (DLMF 15.8.10).
 
     A finite sum of m terms plus a logarithmic digamma series; m = 0 is the
@@ -277,7 +279,7 @@ def _log_case(a, b, c, w, log_w, m, max_terms=MAX_TERMS):
         rho = (am + j) * (bm + j) / ((j + 1.0) * (j + m + 1.0)) * w
         return rho, 1.0 / (am + j) + 1.0 / (bm + j) - (1.0 / (j + 1.0) + 1.0 / (j + m + 1.0))
 
-    total = _sum_lanes(ratios, [am, bm, w], coef, g, coef * g, max_terms, f"logarithmic 2F1 series (m={m})")
+    total = _sum_lanes(ratios, [am, bm, w], coef, g, coef * g, MAX_TERMS, f"logarithmic 2F1 series (m={m})")
     out[s] += pref * total
     return out
 

@@ -102,12 +102,7 @@ def bound_states(params: ModelParams) -> BoundStateReport:
     return BoundStateReport(count=count, levels=tuple(levels))
 
 
-def wronskian_roots(
-    params: ModelParams,
-    scan_step: float = 0.25,
-    delta: float = 1e-9,
-    xtol: float = 1e-12,
-) -> list[float]:
+def wronskian_roots(params: ModelParams, delta: float = 1e-9) -> list[float]:
     """Zeros of the real Wronskian on (delta, nu-mu-1+delta] by Brent's method.
 
     The zeros are simple, so a scan grid finer than their spacing (which is 2)
@@ -122,13 +117,13 @@ def wronskian_roots(
     def w_real(zeta):
         return wronskian(params, SpectralPoint.interior(zeta)).real
 
-    n_seg = max(4, int(np.ceil(t / scan_step)) + 1)
+    n_seg = max(4, int(np.ceil(t / 0.25)) + 1)  # scan step 0.25
     grid = np.linspace(delta, t + delta, n_seg)
     vals = [w_real(g) for g in grid]
     roots = [float(g) for g, v in zip(grid, vals) if v == 0.0]
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if fa * fb < 0:
-            roots.append(brentq(w_real, a, b, xtol=xtol))
+            roots.append(brentq(w_real, a, b, xtol=1e-12))
     return sorted(roots, reverse=True)
 
 

@@ -112,6 +112,26 @@ def test_malformed_range_exits_2(tmp_path):
     assert rc == EXIT_USAGE
 
 
+def test_non_finite_parameter_writes_no_rows(tmp_path):
+    rc, text = run(tmp_path, "sigma", "--mu", "nan", "--nu", "1", "--k", "1:2:2")
+    assert rc != EXIT_OK
+    assert text == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", "--mu", "0", "--nu", "3", "--k", "nan"],
+        ["sigma", "--mu", "0", "--nu", "3", "--k", "0:inf:3"],
+        ["kernel", "--mu", "1", "--nu", "2", "--zeta", "nan+1j", "--x", "1", "--y", "2"],
+    ],
+)
+def test_non_finite_argument_exits_2(tmp_path, argv):
+    rc, text = run(tmp_path, *argv)
+    assert rc == EXIT_USAGE
+    assert text == ""
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -82,7 +82,7 @@ def test_omega2_consistency_numeric_vs_closed():
     for p in (ModelParams(0.0, 3.0), ModelParams(1.0, 2.0), ModelParams(0.0, 2.5)):
         _, e2, _, _ = square_edges(p)
         grid = np.unique(np.concatenate([np.geomspace(1e-6, 1.0, 80), np.linspace(1.0, 200.0, 240)]))
-        delta = edge_phase_change(e2.evaluator, 0.0, 200.0, e2.start_limit, e2.end_limit, grid)
+        delta = edge_phase_change(e2.evaluator, e2.start_limit, e2.end_limit, grid)
         w2_num = -delta / (2 * np.pi)
         w2 = winding_contributions(p)[1]
         assert abs(w2_num - w2) < 1e-4

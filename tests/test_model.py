@@ -78,6 +78,12 @@ def test_params_reject_negative():
         ModelParams(0.0, -2.0)
 
 
+@pytest.mark.parametrize("mu, nu", [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (0.0, float("inf"))])
+def test_params_reject_non_finite(mu, nu):
+    with pytest.raises(DomainError):
+        ModelParams(mu, nu)
+
+
 def test_classify_beta_examples():
     assert classify_beta(ModelParams(2.0, 0.0)).kind == "positive"  # beta = 1.5
     bc = classify_beta(ModelParams(0.0, 3.0))  # beta = -1

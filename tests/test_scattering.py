@@ -106,6 +106,20 @@ def test_sigma_samples_phase_at_large_parameters():
     assert np.max(np.abs(phases - ref)) < 1e-8
 
 
+@pytest.mark.parametrize("k", [1e-14, 1e-15])
+@pytest.mark.parametrize("mu, nu", [(0.0, 3.0), (1.0, 4.0)])
+def test_sigma_at_tiny_k_against_mpmath(mu, nu, k):
+    # beta is a nonpositive integer, so beta - ik/2 lies within 1e-14 of a
+    # pole of Gamma; off the real axis it is not one, and sigma is near -1
+    mp = pytest.importorskip("mpmath")
+    p = ModelParams(mu, nu)
+    with mp.workdps(40):
+        ik2 = mp.mpc(0, k) / 2
+        num = [mp.mpf(p.alpha) - ik2, mp.mpf(p.beta) - ik2, 1 + ik2, mp.mpf(0.5) + ik2]
+        ref = complex(mp.fprod(mp.gamma(z) / mp.gamma(mp.conj(z)) for z in num))
+    assert abs(sigma(p, k) - ref) < 1e-14
+
+
 def test_fourier_kernel_free_case():
     xs = np.linspace(0.01, 10, 80)
     for k in (0.1, 1.0, 5.0):
