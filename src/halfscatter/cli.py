@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -38,8 +39,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(argparse.ArgumentTypeError, ValueError):
+    """A bad argument; as an argparse type error it keeps its message in the usage line."""
 
 
 def _fmt(v) -> str:
@@ -70,14 +71,16 @@ def _json_dump(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _finite_float(part: str, text: str) -> float:
-    """float(part), part of the argument text; raises UsageError unless it is finite."""
+def _finite_float(part, text=None) -> float:
+    """float(part), where part is a flag or --config value or a piece of the
+    argument text; raises UsageError unless it is finite."""
+    where = "" if text is None else f" in {text!r}"
     try:
         value = float(part)
-    except ValueError as exc:
-        raise UsageError(f"bad number {part!r} in {text!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad number {part!r}{where}") from exc
     if not math.isfinite(value):
-        raise UsageError(f"{text!r} is not finite")
+        raise UsageError(f"{part!r}{where} is not finite")
     return value
 
 
@@ -85,7 +88,7 @@ def parse_range(text: str) -> np.ndarray:
     """Parse 'start:stop:count' (inclusive endpoints) or a bare scalar, both finite."""
     text = str(text)
     if ":" not in text:
-        return np.array([_finite_float(text, text)])
+        return np.array([_finite_float(text)])
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"bad range {text!r}, expected start:stop:count")
@@ -130,6 +133,10 @@ def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _params(args) -> ModelParams:
+    return ModelParams(_finite_float(args.mu), _finite_float(args.nu))
+
+
 def _write_text(out_path: str | None, text: str):
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
@@ -153,7 +160,7 @@ def cmd_sigma(args) -> int:
     k_grid = parse_range(args.k)
     if np.any(k_grid <= 0):
         raise UsageError("sigma needs k > 0")
-    samples = sigma_samples(ModelParams(float(args.mu), float(args.nu)), k_grid)
+    samples = sigma_samples(_params(args), k_grid)
     text = _csv_lines(
         ["k", "sigma_re", "sigma_im", "phase"],
         [(s.k, s.sigma.real, s.sigma.imag, s.phase) for s in samples],
@@ -163,7 +170,7 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_bound_states(args) -> int:
-    rep = bound_states(ModelParams(float(args.mu), float(args.nu)))
+    rep = bound_states(_params(args))
     payload = {
         "count": rep.count,
         "levels": [{"zeta": lv.zeta, "energy": lv.energy} for lv in rep.levels],
@@ -173,7 +180,7 @@ def cmd_bound_states(args) -> int:
 
 
 def cmd_density(args) -> int:
-    p = ModelParams(float(args.mu), float(args.nu))
+    p = _params(args)
     ks = parse_range(args.k)
     xs = parse_range(args.x)
     ys = parse_range(args.y)
@@ -188,7 +195,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    p = ModelParams(float(args.mu), float(args.nu))
+    p = _params(args)
     xs, ys = parse_range(args.x), parse_range(args.y)
     rows = []
     if args.kind == "resolvent":
@@ -198,7 +205,7 @@ def cmd_kernel(args) -> int:
                 v = resolvent_kernel(p, pt, float(x), float(y))
                 rows.append((x, y, v.real, v.imag))
     elif args.kind == "boundary":
-        k = float(args.k)
+        k = _finite_float(args.k)
         for x in xs:
             for y in ys:
                 v = resolvent_boundary_kernel(p, k, args.side, float(x), float(y))
@@ -210,7 +217,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_winding(args) -> int:
-    p = ModelParams(float(args.mu), float(args.nu))
+    p = _params(args)
     omega = index_mod.winding_contributions(p)
     payload = {
         "mu": p.mu,
@@ -218,7 +225,7 @@ def cmd_winding(args) -> int:
         "omega": list(omega),
         "winding_closed": float(sum(omega)),
         "winding_numeric": index_mod.winding_numeric(
-            p, float(args.k_max), float(args.s_max)
+            p, _finite_float(args.k_max), _finite_float(args.s_max)
         ),
     }
     _write_text(args.out, _json_dump(payload) + "\n")
@@ -226,24 +233,20 @@ def cmd_winding(args) -> int:
 
 
 def cmd_verify_index(args) -> int:
-    mus = parse_range(args.mu_grid) if args.mu_grid else np.array([float(args.mu)])
-    nus = parse_range(args.nu_grid) if args.nu_grid else np.array([float(args.nu)])
+    mus = parse_range(args.mu_grid) if args.mu_grid else np.array([_finite_float(args.mu)])
+    nus = parse_range(args.nu_grid) if args.nu_grid else np.array([_finite_float(args.nu)])
+    k_max, s_max = _finite_float(args.k_max), _finite_float(args.s_max)
     reports = []
     for mu in mus:
         for nu in nus:
-            rep = index_mod.verify_index(
-                ModelParams(float(mu), float(nu)),
-                float(args.k_max),
-                float(args.s_max),
-            )
-            reports.append(rep)
+            reports.append(index_mod.verify_index(ModelParams(float(mu), float(nu)), k_max, s_max))
     payload = [r.to_json_dict() for r in reports]
     _write_text(args.out, _json_dump(payload) + "\n")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
 
 
 def cmd_oracle_check(args) -> int:
-    p = ModelParams(float(args.mu), float(args.nu))
+    p = _params(args)
     zeta = parse_complex(args.zeta)
     pt = SpectralPoint.interior(zeta)
     rows = []
@@ -287,7 +290,7 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_eval_2f1(args) -> int:
-    val = gauss_2f1(parse_complex(args.a), parse_complex(args.b), parse_complex(args.c), float(args.z))
+    val = gauss_2f1(parse_complex(args.a), parse_complex(args.b), parse_complex(args.c), _finite_float(args.z))
     _write_text(args.out, _json_dump({"re": val.real, "im": val.imag}) + "\n")
     return EXIT_OK
 
@@ -295,7 +298,9 @@ def cmd_eval_2f1(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="halfscatter",
         description="Spectral/scattering evaluations for the solvable hyperbolic well on the half-line",
@@ -304,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, mu_nu=True):
         if mu_nu:
-            sp.add_argument("--mu", type=float, default=0.5)
-            sp.add_argument("--nu", type=float, default=0.5)
+            sp.add_argument("--mu", type=_finite_float, default=0.5)
+            sp.add_argument("--nu", type=_finite_float, default=0.5)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--config", default=None, help="JSON file overriding flags")
 
@@ -329,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--kind", choices=("resolvent", "boundary"), default="resolvent")
     sp.add_argument("--zeta", default="1.5+0.5j", help="interior spectral parameter")
-    sp.add_argument("--k", type=float, default=1.0, help="boundary momentum")
+    sp.add_argument("--k", type=_finite_float, default=1.0, help="boundary momentum")
     sp.add_argument("--side", choices=("+", "-"), default="+")
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
@@ -337,16 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("winding", help="winding contributions for one parameter pair")
     common(sp)
-    sp.add_argument("--k-max", type=float, default=index_mod.K_EDGE_DEFAULT)
-    sp.add_argument("--s-max", type=float, default=index_mod.S_MAX_DEFAULT)
+    sp.add_argument("--k-max", type=_finite_float, default=index_mod.K_EDGE_DEFAULT)
+    sp.add_argument("--s-max", type=_finite_float, default=index_mod.S_MAX_DEFAULT)
     sp.set_defaults(func=cmd_winding)
 
     sp = sub.add_parser("verify-index", help="index-theorem verification over a grid")
     common(sp)
     sp.add_argument("--mu-grid", default=None, help="mu range start:stop:count")
     sp.add_argument("--nu-grid", default=None, help="nu range start:stop:count")
-    sp.add_argument("--k-max", type=float, default=index_mod.K_EDGE_DEFAULT)
-    sp.add_argument("--s-max", type=float, default=index_mod.S_MAX_DEFAULT)
+    sp.add_argument("--k-max", type=_finite_float, default=index_mod.K_EDGE_DEFAULT)
+    sp.add_argument("--s-max", type=_finite_float, default=index_mod.S_MAX_DEFAULT)
     sp.set_defaults(func=cmd_verify_index)
 
     sp = sub.add_parser("oracle-check", help="closed forms vs ODE oracle discrepancy table")
@@ -359,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--c", required=True)
-    sp.add_argument("--z", type=float, required=True)
+    sp.add_argument("--z", type=_finite_float, required=True)
     sp.set_defaults(func=cmd_eval_2f1)
 
     return ap

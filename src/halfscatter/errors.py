@@ -34,7 +34,7 @@ class StepFailureError(HalfScatterError):
 
 
 class IllConditionedError(HalfScatterError):
-    """An asymptotic least-squares fit is too ill-conditioned to trust."""
+    """A fit or an integration is too ill-conditioned to trust (or leaves double range)."""
 
 
 class UnwrapError(HalfScatterError):

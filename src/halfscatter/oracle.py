@@ -1,8 +1,8 @@
 """Independent verification engine based on adaptive ODE integration.
 
 Everything here validates the closed forms without touching hypergeometric
-functions: the radial equation is integrated with an embedded Runge-Kutta
-5(4) pair, the scattering function is extracted from a plane-wave fit on an
+functions: the radial equation is integrated with the Dormand-Prince 8(5,3)
+pair, the scattering function is extracted from a plane-wave fit on an
 asymptotic window, bound states are counted by Sturm node counting, and the
 resolvent is rebuilt from two independently integrated solutions.
 """
@@ -30,6 +30,7 @@ __all__ = [
 
 _DEFAULT_TOL = 1e-10
 X_FAR = 30.0  # start of the inward integration of the decaying solution
+_MAX_LOG_GROWTH = 700.0  # log of the largest growth an integration may carry in double range
 # Start of the regular solves of extract_sigma and greens_function_oracle: the
 # leading-power data there is good to about x0^(2+2mu), the solve tolerance.
 X0_FINE = 1e-5
@@ -82,7 +83,7 @@ def _integrate(params, energy, span, u0, du0, tol, atol=None, events=None) -> Od
         _rhs_complex(params, complex(energy)),
         span,
         (u0.real, u0.imag, du0.real, du0.imag),
-        method="RK45",
+        method="DOP853",
         rtol=tol,
         atol=atol,
         dense_output=True,
@@ -125,14 +126,19 @@ def integrate_decaying(
     x_far: float = X_FAR,
     tol: float = _DEFAULT_TOL,
 ) -> OdeSolution:
-    """Integrate inward from x_far with free decaying data e^(-zeta x).
+    """Integrate inward from x_far with decaying data (1, -zeta), unit scale.
 
     Backward integration keeps the decaying solution clean: the unwanted
-    growing mode dies in the reversed direction.
+    growing mode dies in the reversed direction.  The solution grows like
+    e^(Re zeta (x_far - x)) on the way in; raises IllConditionedError when that
+    would leave double range.
     """
     zeta = complex(pt.zeta)
-    scale = np.exp(-zeta * x_far)
-    return _integrate(params, -(zeta**2), (x_far, x_low), scale, -zeta * scale, tol, tol * abs(scale))
+    if zeta.real * (x_far - x_low) > _MAX_LOG_GROWTH:
+        raise IllConditionedError(
+            f"decaying solution grows by e^{zeta.real * (x_far - x_low):.4g} from x = {x_far:g} to {x_low:g}"
+        )
+    return _integrate(params, -(zeta**2), (x_far, x_low), 1.0, -zeta, tol, tol)
 
 
 def extract_sigma(params: ModelParams, k: float, fit_window: tuple[float, float] = (8.0, 12.0)) -> complex:
@@ -185,8 +191,8 @@ def greens_function_oracle(params: ModelParams, pt: SpectralPoint, x: float, y: 
     """
     lo, hi = min(x, y), max(x, y)
     zeta = complex(pt.zeta)
-    reg = integrate_regular(params, energy=-(zeta**2), x0=X0_FINE, x1=hi)
     dec = integrate_decaying(params, pt, x_low=lo * 0.5)
+    reg = integrate_regular(params, energy=-(zeta**2), x0=X0_FINE, x1=hi)
     u_r, du_r = reg(hi)
     u_d, du_d = dec(hi)
     u_r_lo, _ = reg(lo)

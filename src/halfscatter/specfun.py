@@ -61,7 +61,8 @@ def log_gamma(z) -> complex:
 
 def digamma(z) -> complex:
     """Logarithmic derivative of Gamma; raises PoleError at nonpositive integers."""
-    if _nonpos_int(z, 1e-14):
+    # every pole of Gamma is real, as in _log_gamma_runs
+    if _nonpos_int(z, 1e-14) and complex(z).imag == 0:
         raise PoleError(f"digamma pole at z = {z}")
     return complex(_sc.psi(complex(z)))
 

@@ -124,10 +124,25 @@ def test_non_finite_parameter_writes_no_rows(tmp_path):
         ["sigma", "--mu", "0", "--nu", "3", "--k", "nan"],
         ["sigma", "--mu", "0", "--nu", "3", "--k", "0:inf:3"],
         ["kernel", "--mu", "1", "--nu", "2", "--zeta", "nan+1j", "--x", "1", "--y", "2"],
+        ["winding", "--mu", "0", "--nu", "3", "--k-max", "nan"],
+        ["winding", "--mu", "0", "--nu", "3", "--s-max", "inf"],
+        ["verify-index", "--mu", "1", "--nu", "4", "--k-max", "inf"],
+        ["kernel", "--mu", "1", "--nu", "2", "--kind", "boundary", "--k", "nan", "--x", "1", "--y", "2"],
+        ["eval-2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "nan"],
     ],
 )
 def test_non_finite_argument_exits_2(tmp_path, argv):
     rc, text = run(tmp_path, *argv)
+    assert rc == EXIT_USAGE
+    assert text == ""
+
+
+@pytest.mark.parametrize("override", ['{"k_max": NaN}', '{"s_max": Infinity}', '{"mu": NaN}', '{"nu": [1]}'])
+def test_non_finite_config_value_exits_2(tmp_path, override):
+    # json reads NaN and Infinity; a --config value passes the same check as its flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(override, encoding="utf-8")
+    rc, text = run(tmp_path, "winding", "--mu", "0", "--nu", "3", "--config", str(cfg))
     assert rc == EXIT_USAGE
     assert text == ""
 

@@ -17,7 +17,7 @@ from halfscatter.oracle import (
 )
 from halfscatter.scattering import sigma
 from halfscatter.solutions import SpectralPoint, eval_L
-from halfscatter.spectral import resolvent_kernel
+from halfscatter.spectral import bound_states, resolvent_kernel
 
 FREE = ModelParams(0.5, 0.5)
 
@@ -102,6 +102,15 @@ def test_node_counting(mu, nu, count):
     assert count_bound_states_shooting(ModelParams(mu, nu)) == count
 
 
+def test_node_counting_on_a_wide_grid():
+    # an 8th-order step is long: it must not step over two nodes of the shooting solution
+    grid = [(mu, nu) for mu in range(0, 51, 10) for nu in range(0, 51, 10)]
+    rng = np.random.default_rng(6)
+    for mu, nu in grid + [tuple(pair) for pair in rng.uniform(0.0, 50.0, (8, 2))]:
+        p = ModelParams(float(mu), float(nu))
+        assert count_bound_states_shooting(p) == bound_states(p).count, (mu, nu)
+
+
 def test_greens_free_case():
     g = greens_function_oracle(FREE, SpectralPoint.interior(1.0), 1.0, 2.0)
     assert abs(g - np.sinh(1.0) * np.exp(-2.0)) < 1e-9
@@ -113,6 +122,21 @@ def test_greens_matches_resolvent():
     g = greens_function_oracle(params, pt, 1.0, 2.0)
     r = resolvent_kernel(params, pt, 1.0, 2.0)
     assert abs(g - r) / abs(r) < 1e-6
+
+
+def test_greens_matches_resolvent_at_large_zeta():
+    params = ModelParams(1.0, 2.0)
+    pt = SpectralPoint.interior(20 + 1j)
+    g = greens_function_oracle(params, pt, 1.0, 2.0)
+    r = resolvent_kernel(params, pt, 1.0, 2.0)
+    assert abs(g - r) / abs(r) < 1e-6
+
+
+@pytest.mark.parametrize("zeta", [25 + 1j, 40.0])
+def test_greens_out_of_double_range_raises(zeta):
+    # the decaying solution grows by e^(Re zeta (x_far - x)) on the way in
+    with pytest.raises(IllConditionedError):
+        greens_function_oracle(ModelParams(1.0, 2.0), SpectralPoint.interior(zeta), 1.0, 2.0)
 
 
 def test_greens_symmetry():

@@ -65,6 +65,19 @@ def test_digamma_recurrence():
         assert abs(digamma(z + 1) - (digamma(z) + 1 / z)) < 1e-13
 
 
+@pytest.mark.parametrize("z", [-1 + 1e-15j, -2 + 1e-10j])
+def test_digamma_off_the_real_axis_against_mpmath(z):
+    # every pole of Gamma is real: next to one, psi is large but finite
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        ref = complex(mp.digamma(mp.mpc(z)))
+    val = digamma(z)
+    assert abs(val.real - ref.real) < 1e-12 * abs(ref.real)
+    assert abs(val.imag - ref.imag) < 1e-12 * abs(ref.imag)
+    with pytest.raises(PoleError):
+        digamma(round(z.real))
+
+
 def test_gamma_ratio_zero_at_denominator_pole():
     assert gamma_ratio((1.0,), (-2.0,)) == 0
 
