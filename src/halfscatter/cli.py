@@ -13,6 +13,7 @@ import cmath
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -298,10 +299,21 @@ def cmd_eval_2f1(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes a token that starts with '-' for an option name unless it
+    matches its negative-number pattern, a plain decimal; this one widens the
+    pattern so that -1e-3, -1.5+0.5j and -1:2:3 are the value of the flag
+    before them.  Subcommand parsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+\-j:]*$")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it unchanged."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="halfscatter",
         description="Spectral/scattering evaluations for the solvable hyperbolic well on the half-line",
     )

@@ -145,9 +145,10 @@ def extract_sigma(params: ModelParams, k: float, fit_window: tuple[float, float]
     """Scattering function from a least-squares plane-wave fit of the regular solution.
 
     On the window the integrated solution is A e^(ikx) + B e^(-ikx) up to
-    e^(-2x) corrections; the outgoing/incoming ratio -A/B is the scattering
-    function.  The window must sit far enough out that those corrections are
-    below the target accuracy.
+    corrections of relative order e^(-2x); the outgoing/incoming ratio -A/B
+    is the scattering function.  The fit carries each wave's first
+    correction, e^(+/-ikx) e^(-2(x-lo)), as a column of its own, so what is
+    left on the window is of order e^(-4x).
     """
     if k <= 0:
         raise DomainError("extract_sigma requires k > 0")
@@ -155,14 +156,15 @@ def extract_sigma(params: ModelParams, k: float, fit_window: tuple[float, float]
     sol = integrate_regular(params, energy=k * k, x0=X0_FINE, x1=hi)
     xs = np.linspace(lo, hi, 64)
     u, _ = sol(xs)
-    design = np.column_stack([np.exp(1j * k * xs), np.exp(-1j * k * xs)])
+    waves = np.column_stack([np.exp(1j * k * xs), np.exp(-1j * k * xs)])
+    design = np.hstack([waves, waves * np.exp(-2.0 * (xs - lo))[:, None]])
     cond = np.linalg.cond(design)
     if cond > 1e8:
         raise IllConditionedError(
             f"plane-wave fit condition number {cond:.3g} (window too short for k={k})"
         )
     coef, *_ = np.linalg.lstsq(design, u, rcond=None)
-    a_out, b_in = coef
+    a_out, b_in = coef[:2]
     return complex(-a_out / b_in)
 
 

@@ -39,6 +39,7 @@ BLOCK_LANES = 8192
 _CHUNK_TERMS = 16  # most series terms formed per lane in one pass
 _TERM_TOL = 1e-16
 _INT_TOL = 1e-12
+_MIRROR_TOL = 4 * np.finfo(float).eps  # conjugate-pair test of _linear_transform, relative to |a| + |b|
 
 
 def _near_int(z, tol=_INT_TOL):
@@ -78,6 +79,14 @@ def pochhammer(q, n: int) -> complex:
     return out
 
 
+def _run_heads(args):
+    """Mask of the lanes (columns of args) that start a run of equal lanes."""
+    head = np.ones(args.shape[1], dtype=bool)
+    if head.size > 1:
+        np.logical_or.reduce(args[:, 1:] != args[:, :-1], axis=0, out=head[1:])
+    return head
+
+
 def _log_gamma_runs(numerators, denominators):
     """log_gamma_ratio per run of equal lanes: sums, denominator-pole mask, run of each lane, shape."""
     values, n_num = (*numerators, *denominators), len(numerators)
@@ -86,8 +95,7 @@ def _log_gamma_runs(numerators, denominators):
     for i, v in enumerate(values):
         args[i] = v
     args = args.reshape(len(values), -1)
-    head = np.ones(args.shape[1], dtype=bool)
-    head[1:] = np.any(args[:, 1:] != args[:, :-1], axis=0)
+    head = _run_heads(args)
     args = args[:, head]
     # every pole of Gamma is real: a lane with an imaginary part is never one
     poles = _nonpos_int(args, 1e-14) & (args.imag == 0)
@@ -151,28 +159,41 @@ def _lanes(*arrays):
     return [v if v.shape == shape else np.broadcast_to(v, shape) for v in arrays]
 
 
-def _sum_lanes(ratios, fixed, coef, g, total, max_terms, what):
+def _sum_lanes(ratios, params, w, coef, g, total, max_terms, what):
     """Sum one series per lane, total + sum_n coef_n g_n.
 
-    coef_n = coef_(n-1) rho_n and g_n = g_(n-1) + delta_n, where
-    ratios(j, fixed) gives rho and delta (None: g stays 1) for the term
-    indices j as arrays of shape (len(j), lanes).  Up to _CHUNK_TERMS ratios
-    per lane are formed at once, fewer while many lanes are active, but the
-    products and sums run term by term, so a lane's partial sums depend on
-    neither the chunking nor the other lanes.  A lane stops at the third
-    consecutive term below 1e-16 relative to its partial sum; the hard cap
-    guards slow convergence near w -> 1.
+    coef_n = coef_(n-1) rho_n w and g_n = g_(n-1) + delta_n, where
+    ratios(j, params) gives rho and delta (None: g stays 1) for the term
+    indices j as arrays of shape (len(j), runs).  params holds the series
+    parameters per lane; ratios sees them once per run of equal lanes (a
+    broadcast grid repeats them along a row), and each run's rho and delta
+    are then spread over its lanes, so a lane gets the values that its own
+    parameters give.  Up to _CHUNK_TERMS ratios per lane are formed at once,
+    fewer while many lanes are active, but the products and sums run term by
+    term, so a lane's partial sums depend on neither the chunking nor the
+    other lanes.  A lane stops at the third consecutive term below 1e-16
+    relative to its partial sum; the hard cap guards slow convergence near
+    w -> 1.
     """
     out = np.empty(total.shape, dtype=complex)
     lanes = np.arange(total.size)
+    if total.size > 1:  # one lane needs no search for runs
+        # the start of each run, then the end: the parameters per run and its lane count
+        edge = np.flatnonzero(np.concatenate((_run_heads(np.array(params)), [True])))
+        params, size = [p[edge[:-1]] for p in params], edge[1:] - edge[:-1]
     carry = np.zeros((2, total.size), dtype=bool)  # were the last two terms small?
-    n = 0
+    stopped = np.zeros(total.size, dtype=bool)
+    n = n_stopped = 0
     while lanes.size:
         if n >= max_terms:
             raise NoConvergenceError(f"{what} did not converge within {max_terms} terms")
         j = n + np.arange(min(_CHUNK_TERMS, max(1, BLOCK_LANES // lanes.size), max_terms - n))
         n += j.size
-        rho, delta = ratios(j[:, None], fixed)
+        rho, delta = ratios(j[:, None], params)
+        if params[0].size < lanes.size:
+            rho = np.repeat(rho, size, axis=1)
+            delta = None if delta is None else np.repeat(delta, size, axis=1)
+        rho = rho * w
         term, tot = np.empty((2, j.size, lanes.size), dtype=complex)
         for i in range(j.size):
             if delta is None:
@@ -184,19 +205,24 @@ def _sum_lanes(ratios, fixed, coef, g, total, max_terms, what):
         small = np.concatenate([carry, np.abs(term) <= _TERM_TOL * np.abs(tot)])
         hit = small[2:] & small[1:-1] & small[:-2]
         carry = small[-2:]
-        done = hit.any(axis=0)
-        n_done = np.count_nonzero(done)
-        if n_done:
+        new = np.logical_or.reduce(hit, axis=0) > stopped  # a hit in a lane not stopped yet
+        n_new = np.count_nonzero(new)
+        if n_new:
             # a stopped lane keeps its sum at the stop and adds exact zeros from
             # then on; stopped lanes leave once they are half of the working set
-            total[done] = tot[hit.argmax(axis=0)[done], done]
-            coef[done] = 0.0
-        if 2 * n_done >= lanes.size:
-            out[lanes[done]] = total[done]
-            keep = ~done
-            lanes, coef, total, carry = lanes[keep], coef[keep], total[keep], carry[:, keep]
-            fixed = [v[keep] for v in fixed]
+            total[new] = tot[hit[:, new].argmax(axis=0), new]
+            coef[new] = 0.0
+            stopped |= new
+            n_stopped += n_new
+        if 2 * n_stopped >= lanes.size:
+            out[lanes[stopped]] = total[stopped]
+            if n_stopped == lanes.size:  # nothing left to sum
+                break
+            keep = ~stopped
+            lanes, coef, total, carry, w = lanes[keep], coef[keep], total[keep], carry[:, keep], w[keep]
             g = None if g is None else g[keep]
+            size = np.add.reduceat(keep, np.cumsum(size) - size, dtype=int)  # kept lanes per run
+            params, size, stopped, n_stopped = [p[size > 0] for p in params], size[size > 0], stopped[keep], 0
     return out
 
 
@@ -204,12 +230,12 @@ def _raw_series(a, b, c, w, max_terms=MAX_TERMS):
     """Defining power series of F(a,b;c;w) per lane, real w in [0,1)."""
     a, b, c, w = _lanes(a, b, c, w)
 
-    def ratios(j, fixed):
-        a, b, c, w = fixed
-        return (a + j) * (b + j) / ((c + j) * (j + 1.0)) * w, None
+    def ratios(j, params):
+        a, b, c = params
+        return (a + j) * (b + j) / ((c + j) * (j + 1.0)), None
 
     one = np.ones(w.shape, dtype=complex)
-    return _sum_lanes(ratios, [a, b, c, w], one, None, one, max_terms, "2F1 series")
+    return _sum_lanes(ratios, [a, b, c], w, one, None, one, max_terms, "2F1 series")
 
 
 def _terminating_series(a, b, c, w, n_terms):
@@ -230,23 +256,38 @@ def _linear_transform(a, b, c, w, log_w):
     supply log(1-z) analytically; forming 1-z in floating point near z = 1
     destroys the phase of the w^(c-a-b) factor.  A term whose gamma
     prefactor vanishes is not summed.
+
+    A mirrored lane, real c with c-a = conj(b) (the regular solution on the
+    boundary), has c-b = conj(a) and c-a-b imaginary, so the second term's
+    series and gamma product are the conjugates of the first's: only the
+    first is formed.  The test allows a few ulps of |a| + |b|, since c, a
+    and b are rounded separately.
     """
     a, b, c, w, log_w = _lanes(a, b, c, w, log_w)
-    d = c - a - b
-    p1 = gamma_ratio((c, d), (c - a, c - b))
-    p2 = gamma_ratio((c, -d), (a, b))
+    ca, cb = c - a, c - b
+    d = ca - b
+    mirror = (c.imag == 0) & (np.abs(ca - np.conj(b)) <= _MIRROR_TOL * (np.abs(a) + np.abs(b)))
+    p1 = gamma_ratio((c, d), (ca, cb))
+    if np.count_nonzero(mirror) == mirror.size:
+        p2 = np.conj(p1)
+    else:
+        p2 = np.where(mirror, np.conj(p1), gamma_ratio((c, -d), (a, b)))
     s1, s2 = p1 != 0, p2 != 0
+    sum2 = s2 & ~mirror
     # both series share one set of lanes, so one loop sums them
     f = _raw_series(
-        np.concatenate([a[s1], (c - a)[s2]]),
-        np.concatenate([b[s1], (c - b)[s2]]),
-        np.concatenate([(a + b - c + 1.0)[s1], (d + 1.0)[s2]]),
-        np.concatenate([w[s1], w[s2]]),
+        np.concatenate([a[s1], ca[sum2]]),
+        np.concatenate([b[s1], cb[sum2]]),
+        np.concatenate([(a + b - c + 1.0)[s1], (d + 1.0)[sum2]]),
+        np.concatenate([w[s1], w[sum2]]),
     )
     n1 = np.count_nonzero(s1)
+    f2 = np.empty(w.shape, dtype=complex)
+    f2[s1] = np.conj(f[:n1])  # the second series of a mirrored lane
+    f2[sum2] = f[n1:]
     out = np.zeros(w.shape, dtype=complex)
     out[s1] += p1[s1] * f[:n1]
-    out[s2] += p2[s2] * np.exp(d[s2] * log_w[s2]) * f[n1:]
+    out[s2] += p2[s2] * np.exp(d[s2] * log_w[s2]) * f2[s2]
     return out
 
 
@@ -275,12 +316,12 @@ def _log_case(a, b, c, w, log_w, m):
     coef = np.full(w.shape, 1.0 / float(_sc.factorial(m)), dtype=complex)
     g = lw - _sc.psi(1.0) - _sc.psi(m + 1.0) + _sc.psi(am) + _sc.psi(bm)
 
-    def ratios(j, fixed):
-        am, bm, w = fixed
-        rho = (am + j) * (bm + j) / ((j + 1.0) * (j + m + 1.0)) * w
+    def ratios(j, params):
+        am, bm = params
+        rho = (am + j) * (bm + j) / ((j + 1.0) * (j + m + 1.0))
         return rho, 1.0 / (am + j) + 1.0 / (bm + j) - (1.0 / (j + 1.0) + 1.0 / (j + m + 1.0))
 
-    total = _sum_lanes(ratios, [am, bm, w], coef, g, coef * g, MAX_TERMS, f"logarithmic 2F1 series (m={m})")
+    total = _sum_lanes(ratios, [am, bm], w, coef, g, coef * g, MAX_TERMS, f"logarithmic 2F1 series (m={m})")
     out[s] += pref * total
     return out
 
@@ -292,24 +333,24 @@ def _block(a, b, c, z, log_w):
     log form (m < 0 reduced by Euler's transformation)."""
     out = np.empty(z.shape, dtype=complex)
     poly = np.zeros(z.shape, dtype=bool)
-    ints = _nonpos_int(np.stack([a, b]))
-    if ints.any():
+    ints = _nonpos_int(np.array([a, b]))
+    if np.count_nonzero(ints):
         degree = np.where(ints, -np.round(np.stack([a.real, b.real])), np.inf).min(axis=0)
         poly = degree <= MAX_TERMS
         for d in np.unique(degree[poly]):
             s = degree == d
             out[s] = _terminating_series(a[s], b[s], c[s], z[s], int(d))
     low = ~poly & (z <= SERIES_THRESHOLD)
-    if low.any():
+    if np.count_nonzero(low):
         out[low] = _raw_series(a[low], b[low], c[low], z[low])
     high = ~poly & ~low
-    if not high.any():
+    if not np.count_nonzero(high):
         return out
     gap, m = _near_int(c - a - b)
     s = high & ~gap
-    if s.any():
+    if np.count_nonzero(s):
         out[s] = _linear_transform(a[s], b[s], c[s], np.exp(log_w[s]), log_w[s])
-    for mm in np.unique(m[high & gap]):
+    for mm in sorted(set(m[high & gap].tolist())):
         s = high & gap & (m == mm)
         sa, sb, sc, lw = a[s], b[s], c[s], log_w[s]
         if mm >= 0:

@@ -129,12 +129,34 @@ def test_non_finite_parameter_writes_no_rows(tmp_path):
         ["verify-index", "--mu", "1", "--nu", "4", "--k-max", "inf"],
         ["kernel", "--mu", "1", "--nu", "2", "--kind", "boundary", "--k", "nan", "--x", "1", "--y", "2"],
         ["eval-2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "nan"],
+        ["eval-2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "-1e400"],
     ],
 )
 def test_non_finite_argument_exits_2(tmp_path, argv):
     rc, text = run(tmp_path, *argv)
     assert rc == EXIT_USAGE
     assert text == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval-2f1", "--a", "-1e-3", "--b", "1", "--c", "2", "--z", "0.5"],
+        ["eval-2f1", "--a", "-0.5+2j", "--b", "-2j", "--c", "2.5-1e-1j", "--z", "0.25"],
+        ["eval-2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "-1e-3"],
+        ["kernel", "--mu", "1", "--nu", "2", "--zeta", "-1.5+0.5j", "--x", "1", "--y", "2"],
+        ["kernel", "--mu", "1", "--nu", "2", "--zeta", "1.5-0.5j", "--x", "1", "--y", "2"],
+    ],
+)
+def test_negative_value_after_flag(tmp_path, argv):
+    # parsed as with --flag=value: argparse alone took -1e-3 for an option name and exited 2
+    joined = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if joined[i][0] == "-" and joined[i][1] != "-":
+            joined[i - 1 : i + 1] = [f"{joined[i - 1]}={joined[i]}"]
+    rc, text = run(tmp_path, *argv)
+    assert rc != EXIT_USAGE
+    assert (rc, text) == run(tmp_path, *joined)
 
 
 @pytest.mark.parametrize("override", ['{"k_max": NaN}', '{"s_max": Infinity}', '{"mu": NaN}', '{"nu": [1]}'])

@@ -86,6 +86,13 @@ def test_extract_sigma_vs_gamma_product():
     assert abs(abs(s_ode) - 1.0) < 1e-6  # flux conservation
 
 
+@pytest.mark.parametrize("mu,nu", [(5.0, 9.5), (0.3, 12.7)])
+def test_extract_sigma_fits_the_e_minus_2x_correction(mu, nu):
+    # a plane-wave-only fit on (8, 12) is off by 1.6e-6 and 2.8e-6 at these pairs
+    params = ModelParams(mu, nu)
+    assert abs(extract_sigma(params, 1.0) - complex(sigma(params, 1.0))) < 1e-7
+
+
 def test_extract_sigma_ill_conditioned_window():
     # window far too short for the wavelength: plane-wave columns collinear
     with pytest.raises(IllConditionedError):

@@ -232,6 +232,8 @@ BRANCH_CASES = {
     "log_m1": (_A, _B, _A + _B + 1.0, 0.88),
     "log_m3": (_A, _B, _A + _B + 3.0, 0.97),
     "log_m_neg2": (_A, _B, _A + _B - 2.0, 0.93),
+    # regular solution on the boundary at (mu, nu) = (0.6, 0.55), k = 3: c - a = conj(b)
+    "transform_mirror": (1.075 + 1.5j, 0.525 + 1.5j, 1.6, 0.93),
 }
 
 
@@ -272,6 +274,57 @@ def test_2f1_errors_per_lane():
         hyp2f1_values(a, b, 1.5, np.array([0.3, -0.1]))
     with pytest.raises(NoConvergenceError):
         _raw_series(a, b, 1.0, np.array([0.1, 0.999999]), max_terms=60)
+
+
+@pytest.mark.parametrize("mu, nu", [(0, 3), (1, 1), (0.6, 0.55), (20, 0.3)])
+def test_mirrored_lanes_against_mpmath(mu, nu):
+    # the regular solution's 2F1 on the boundary: real c = 1+mu, c - a = conj(b),
+    # so the connection formula sums one series and conjugates it
+    mp = pytest.importorskip("mpmath")
+    al, be = (1 + mu + nu) / 2, (1 + mu - nu) / 2
+    k = np.repeat([0.05, 0.5, 1.0, 3.0, 7.5, 15.0, 25.0, 40.0], 6)
+    w = np.tile([1e-6, 1e-3, 0.01, 0.1, 0.25, 0.4], 8)
+    a, b, c = al + 0.5j * k, be + 0.5j * k, np.full(k.shape, 1.0 + mu)
+    mirrored = _linear_transform(a, b, c, w, np.log(w))
+    # an imaginary part of c far below rounding turns the rule off: both series summed
+    both = _linear_transform(a, b, c + 1e-300j, w, np.log(w))
+    for i in range(k.size):
+        with mp.workdps(40):
+            A, B, C, W = mp.mpc(a[i]), mp.mpc(b[i]), mp.mpf(c[i]), mp.mpf(w[i])
+            ref = complex(mp.hyp2f1(A, B, C, 1 - W))
+            # both terms of the connection formula have this size: cancellation scale
+            term = mp.gamma(C) * mp.gamma(C - A - B) / (mp.gamma(C - A) * mp.gamma(C - B))
+            scale = float(2 * abs(term * mp.hyp2f1(A, B, A + B - C + 1, W)))
+        assert abs(mirrored[i] - ref) <= 1e-13 * scale
+        assert abs(mirrored[i] - both[i]) <= 1e-14 * scale
+
+
+def test_2f1_grid_equals_one_lane_calls():
+    # runs of equal (a, b, c) of several lengths, each over z on both sides of
+    # the threshold: mirrored boundary lanes, interior lanes, integer gaps
+    mu, nu = 0.6, 0.55
+    al, be = (1 + mu + nu) / 2, (1 + mu - nu) / 2
+    runs = [
+        (al + 1.5j, be + 1.5j, 1 + mu),  # mirrored
+        (al - (2 + 1j) / 2, be - (2 + 1j) / 2, 1 + mu),  # interior regular: not mirrored
+        (al + 12.5j, be + 12.5j, 1 + mu),  # mirrored, large k
+        (al + (2 + 1j) / 2, be + (2 + 1j) / 2, 3 + 1j),  # decaying solution's parameters
+        (_A, _B, _A + _B + 1.0),  # integer gap: log form
+        (al + 0.05j, be + 0.05j, 1 + mu),  # mirrored, small k
+    ]
+    lengths = [1, 7, 3, 12, 2, 5]
+    rng = np.random.default_rng(11)
+    a, b, c, z = [], [], [], []
+    for (ra, rb, rc), n in zip(runs, lengths):
+        a += [ra] * n
+        b += [rb] * n
+        c += [rc] * n
+        z += list(rng.uniform(0.05, 0.999, n))
+    a, b, c, z = (np.array(v) for v in (a, b, c, z))
+    log_w = np.log1p(-z)
+    grid = hyp2f1_values(a, b, c, z, log_w=log_w)
+    alone = np.array([hyp2f1_values(a[i], b[i], c[i], z[i], log_w=log_w[i]) for i in range(z.size)])
+    assert np.array_equal(grid, alone)
 
 
 @settings(max_examples=60, deadline=None)
