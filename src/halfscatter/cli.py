@@ -25,13 +25,7 @@ from .model import ModelParams
 from .scattering import sigma as sigma_cf
 from .scattering import sigma_samples
 from .solutions import SpectralPoint, eval_L, eval_M, wronskian
-from .spectral import (
-    bound_states,
-    resolvent_boundary_kernel,
-    resolvent_kernel,
-    spectral_density_kernel,
-    wronskian_roots,
-)
+from .spectral import bound_states, resolvent_kernel, spectral_density_kernel, wronskian_roots
 from .specfun import gauss_2f1
 
 EXIT_OK = 0
@@ -45,6 +39,9 @@ class UsageError(argparse.ArgumentTypeError, ValueError):
 
 
 def _fmt(v) -> str:
+    """One artifact value as text: a scalar in the artifact format, text unchanged."""
+    if isinstance(v, str):
+        return v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -61,24 +58,18 @@ def _json_dump(obj) -> str:
         return "[" + ",".join(_json_dump(v) for v in obj) + "]"
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)}")
+    return _fmt(obj)
 
 
 def _finite_float(part, text=None) -> float:
-    """float(part), where part is a flag or --config value or a piece of the
-    argument text; raises UsageError unless it is finite."""
+    """float(part), where part is a flag value or a piece of the argument text;
+    raises UsageError unless it is finite."""
     where = "" if text is None else f" in {text!r}"
     try:
         value = float(part)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad number {part!r}{where}") from exc
     if not math.isfinite(value):
         raise UsageError(f"{part!r}{where} is not finite")
@@ -87,7 +78,6 @@ def _finite_float(part, text=None) -> float:
 
 def parse_range(text: str) -> np.ndarray:
     """Parse 'start:stop:count' (inclusive endpoints) or a bare scalar, both finite."""
-    text = str(text)
     if ":" not in text:
         return np.array([_finite_float(text)])
     parts = text.split(":")
@@ -107,7 +97,7 @@ def parse_range(text: str) -> np.ndarray:
 
 def parse_complex(text: str) -> complex:
     try:
-        value = complex(str(text).replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise UsageError(f"bad complex number {text!r}") from exc
     if not cmath.isfinite(value):
@@ -115,35 +105,39 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
-    path = getattr(args, "config", None)
-    if not path:
-        return args
+def _config_argv(path: str) -> list[str]:
+    """The JSON object in path as --name=value tokens (k_max and k-max both give
+    --k-max), for the parser to read after the command line: a config value
+    overrides its flag and passes the flag's own checks."""
     try:
         with open(path, encoding="utf-8") as fh:
             overrides = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise UsageError("config file must contain a JSON object")
+    tokens = []
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise UsageError(f"unknown config key {key!r}")
-        setattr(args, attr, value)
-    return args
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise UsageError(f"config value {flag}={json.dumps(value)} is not a number or a string")
+        tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def _params(args) -> ModelParams:
-    return ModelParams(_finite_float(args.mu), _finite_float(args.nu))
+    return ModelParams(args.mu, args.nu)
 
 
 def _write_text(out_path: str | None, text: str):
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _csv_lines(header: list[str], rows) -> str:
@@ -158,10 +152,9 @@ def _csv_lines(header: list[str], rows) -> str:
 
 
 def cmd_sigma(args) -> int:
-    k_grid = parse_range(args.k)
-    if np.any(k_grid <= 0):
+    if np.any(args.k <= 0):
         raise UsageError("sigma needs k > 0")
-    samples = sigma_samples(_params(args), k_grid)
+    samples = sigma_samples(_params(args), args.k)
     text = _csv_lines(
         ["k", "sigma_re", "sigma_im", "phase"],
         [(s.k, s.sigma.real, s.sigma.imag, s.phase) for s in samples],
@@ -182,13 +175,10 @@ def cmd_bound_states(args) -> int:
 
 def cmd_density(args) -> int:
     p = _params(args)
-    ks = parse_range(args.k)
-    xs = parse_range(args.x)
-    ys = parse_range(args.y)
     rows = []
-    for k in ks:
-        for x in xs:
-            for y in ys:
+    for k in args.k:
+        for x in args.x:
+            for y in args.y:
                 val = spectral_density_kernel(p, float(k), float(x), float(y))
                 rows.append((k, x, y, val.real))
     _write_text(args.out, _csv_lines(["k", "x", "y", "p"], rows))
@@ -197,22 +187,15 @@ def cmd_density(args) -> int:
 
 def cmd_kernel(args) -> int:
     p = _params(args)
-    xs, ys = parse_range(args.x), parse_range(args.y)
-    rows = []
     if args.kind == "resolvent":
-        pt = SpectralPoint.interior(parse_complex(args.zeta))
-        for x in xs:
-            for y in ys:
-                v = resolvent_kernel(p, pt, float(x), float(y))
-                rows.append((x, y, v.real, v.imag))
-    elif args.kind == "boundary":
-        k = _finite_float(args.k)
-        for x in xs:
-            for y in ys:
-                v = resolvent_boundary_kernel(p, k, args.side, float(x), float(y))
-                rows.append((x, y, v.real, v.imag))
+        pt = SpectralPoint.interior(args.zeta)
     else:
-        raise UsageError(f"unknown kernel kind {args.kind!r}")
+        pt = SpectralPoint.boundary(args.k, args.side)
+    rows = []
+    for x in args.x:
+        for y in args.y:
+            v = resolvent_kernel(p, pt, float(x), float(y))
+            rows.append((x, y, v.real, v.imag))
     _write_text(args.out, _csv_lines(["x", "y", "re", "im"], rows))
     return EXIT_OK
 
@@ -225,22 +208,19 @@ def cmd_winding(args) -> int:
         "nu": p.nu,
         "omega": list(omega),
         "winding_closed": float(sum(omega)),
-        "winding_numeric": index_mod.winding_numeric(
-            p, _finite_float(args.k_max), _finite_float(args.s_max)
-        ),
+        "winding_numeric": index_mod.winding_numeric(p, args.k_max, args.s_max),
     }
     _write_text(args.out, _json_dump(payload) + "\n")
     return EXIT_OK
 
 
 def cmd_verify_index(args) -> int:
-    mus = parse_range(args.mu_grid) if args.mu_grid else np.array([_finite_float(args.mu)])
-    nus = parse_range(args.nu_grid) if args.nu_grid else np.array([_finite_float(args.nu)])
-    k_max, s_max = _finite_float(args.k_max), _finite_float(args.s_max)
+    mus = [args.mu] if args.mu_grid is None else args.mu_grid
+    nus = [args.nu] if args.nu_grid is None else args.nu_grid
     reports = []
     for mu in mus:
         for nu in nus:
-            reports.append(index_mod.verify_index(ModelParams(float(mu), float(nu)), k_max, s_max))
+            reports.append(index_mod.verify_index(ModelParams(float(mu), float(nu)), args.k_max, args.s_max))
     payload = [r.to_json_dict() for r in reports]
     _write_text(args.out, _json_dump(payload) + "\n")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
@@ -248,11 +228,10 @@ def cmd_verify_index(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     p = _params(args)
-    zeta = parse_complex(args.zeta)
-    pt = SpectralPoint.interior(zeta)
+    pt = SpectralPoint.interior(args.zeta)
     rows = []
 
-    sol = oracle_mod.integrate_regular(p, energy=-(zeta**2), x0=1e-5, x1=6.0, tol=1e-11)
+    sol = oracle_mod.integrate_regular(p, energy=-(pt.zeta**2), x0=1e-5, x1=6.0, tol=1e-11)
     xs = np.linspace(0.5, 6.0, 24)
     u, _ = sol(xs)
     lv = eval_L(p, xs, pt)
@@ -283,15 +262,12 @@ def cmd_oracle_check(args) -> int:
     rows.append(("bound_count_wronskian_roots", float(abs(n_roots - n_cf)), 0.5))
 
     table = [(name, err, tol, "pass" if err < tol else "fail") for name, err, tol in rows]
-    lines = ["check,discrepancy,tolerance,status"]
-    for name, err, tol, st in table:
-        lines.append(f"{name},{_fmt(err)},{_fmt(tol)},{st}")
-    _write_text(args.out, "\r\n".join(lines) + "\r\n")
+    _write_text(args.out, _csv_lines(["check", "discrepancy", "tolerance", "status"], table))
     return EXIT_OK if all(st == "pass" for *_, st in table) else EXIT_VERIFY_FAIL
 
 
 def cmd_eval_2f1(args) -> int:
-    val = gauss_2f1(parse_complex(args.a), parse_complex(args.b), parse_complex(args.c), _finite_float(args.z))
+    val = gauss_2f1(args.a, args.b, args.c, args.z)
     _write_text(args.out, _json_dump({"re": val.real, "im": val.imag}) + "\n")
     return EXIT_OK
 
@@ -303,11 +279,16 @@ class _Parser(argparse.ArgumentParser):
     """argparse takes a token that starts with '-' for an option name unless it
     matches its negative-number pattern, a plain decimal; this one widens the
     pattern so that -1e-3, -1.5+0.5j and -1:2:3 are the value of the flag
-    before them.  Subcommand parsers share the class."""
+    before them.  A flag is matched only in full, so a --config key is a flag
+    or an error, and an error is a UsageError, one line on stderr.
+    Subcommand parsers share the class."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+\-j:]*$")
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 @functools.cache
@@ -328,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sigma", help="scattering-function sweep as CSV")
     common(sp)
-    sp.add_argument("--k", required=True, help="k grid, start:stop:count")
+    sp.add_argument("--k", type=parse_range, required=True, help="k grid, start:stop:count")
     sp.set_defaults(func=cmd_sigma)
 
     sp = sub.add_parser("bound-states", help="bound-state report as JSON")
@@ -337,19 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("density", help="spectral density samples as CSV")
     common(sp)
-    sp.add_argument("--k", required=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
+    sp.add_argument("--k", type=parse_range, required=True)
+    sp.add_argument("--x", type=parse_range, required=True)
+    sp.add_argument("--y", type=parse_range, required=True)
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("kernel", help="resolvent kernel samples as CSV")
     common(sp)
     sp.add_argument("--kind", choices=("resolvent", "boundary"), default="resolvent")
-    sp.add_argument("--zeta", default="1.5+0.5j", help="interior spectral parameter")
+    sp.add_argument("--zeta", type=parse_complex, default="1.5+0.5j", help="interior spectral parameter")
     sp.add_argument("--k", type=_finite_float, default=1.0, help="boundary momentum")
     sp.add_argument("--side", choices=("+", "-"), default="+")
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
+    sp.add_argument("--x", type=parse_range, required=True)
+    sp.add_argument("--y", type=parse_range, required=True)
     sp.set_defaults(func=cmd_kernel)
 
     sp = sub.add_parser("winding", help="winding contributions for one parameter pair")
@@ -360,22 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-index", help="index-theorem verification over a grid")
     common(sp)
-    sp.add_argument("--mu-grid", default=None, help="mu range start:stop:count")
-    sp.add_argument("--nu-grid", default=None, help="nu range start:stop:count")
+    sp.add_argument("--mu-grid", type=parse_range, default=None, help="mu range start:stop:count")
+    sp.add_argument("--nu-grid", type=parse_range, default=None, help="nu range start:stop:count")
     sp.add_argument("--k-max", type=_finite_float, default=index_mod.K_EDGE_DEFAULT)
     sp.add_argument("--s-max", type=_finite_float, default=index_mod.S_MAX_DEFAULT)
     sp.set_defaults(func=cmd_verify_index)
 
     sp = sub.add_parser("oracle-check", help="closed forms vs ODE oracle discrepancy table")
     common(sp)
-    sp.add_argument("--zeta", default="1.5+0.5j")
+    sp.add_argument("--zeta", type=parse_complex, default="1.5+0.5j")
     sp.set_defaults(func=cmd_oracle_check)
 
     sp = sub.add_parser("eval-2f1", help="single Gauss 2F1 value as JSON")
     common(sp, mu_nu=False)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.add_argument("--c", required=True)
+    sp.add_argument("--a", type=parse_complex, required=True)
+    sp.add_argument("--b", type=parse_complex, required=True)
+    sp.add_argument("--c", type=parse_complex, required=True)
     sp.add_argument("--z", type=_finite_float, required=True)
     sp.set_defaults(func=cmd_eval_2f1)
 
@@ -384,13 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        args = _apply_config_file(args)
+        if args.config:
+            args = parser.parse_args([*argv, *_config_argv(args.config)])
         return args.func(args)
+    except SystemExit:  # --help; every other argparse exit is a UsageError
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

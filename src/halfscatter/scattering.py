@@ -38,7 +38,6 @@ __all__ = [
     "wave_operator_apply",
 ]
 
-X_MAX_DEFAULT = 30.0
 K_CUTOFF_DEFAULT = 40.0  # k-integration cutoff of the transforms
 
 
@@ -139,12 +138,7 @@ class SampledFunction:
         return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
 
 
-def quadrature_panels(
-    a: float = 0.0,
-    b: float = X_MAX_DEFAULT,
-    panel_width: float = 1.0,
-    nodes_per_panel: int = 32,
-) -> tuple[np.ndarray, np.ndarray]:
+def quadrature_panels(a: float, b: float, panel_width: float, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on (a, b]."""
     n_panels = int(np.ceil((b - a) / panel_width))
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_panel)
@@ -158,7 +152,7 @@ def quadrature_panels(
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def sample_on_panels(fn, a=0.0, b=X_MAX_DEFAULT, panel_width=1.0, nodes_per_panel=32) -> SampledFunction:
+def sample_on_panels(fn, a: float, b: float, panel_width: float, nodes_per_panel: int) -> SampledFunction:
     """Sample a callable on a composite Gauss-Legendre grid."""
     x, w = quadrature_panels(a, b, panel_width, nodes_per_panel)
     return SampledFunction(grid=x, values=np.asarray(fn(x)), weights=w)

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import roots_jacobi
 
 from .errors import AtEigenvalueError
-from .model import ModelParams
+from .model import ModelParams, classify_beta
 from .solutions import SpectralPoint, eval_L, eval_M, wronskian
 from .specfun import _nonpos_int, hyp2f1_values
 
@@ -87,14 +87,11 @@ def spectral_density_kernel(params: ModelParams, k: float, x, y):
 
 
 def bound_states(params: ModelParams) -> BoundStateReport:
-    """Closed-form point spectrum: levels -(nu-mu-1-2n)^2 while the root stays positive."""
+    """Closed-form point spectrum: levels -(nu-mu-1-2n)^2 for n below the n of
+    classify_beta (none when beta > 0), the count the index theorem equates
+    with the winding."""
     t = params.nu - params.mu - 1.0
-    half = t / 2.0
-    r = round(half)
-    if abs(half - r) < 1e-12:
-        count = max(int(r), 0)
-    else:
-        count = max(int(np.ceil(half)), 0)
+    count = classify_beta(params).n or 0
     levels = []
     for n in range(count):
         zeta_n = t - 2.0 * n

@@ -242,3 +242,37 @@ def test_float_format_17_digits(tmp_path):
     row = rows_of(text)[1].split(",")
     # round-trip exactness of the printed k value
     assert float(row[0]) == 0.1
+
+
+@pytest.mark.parametrize(
+    "argv, override",
+    [
+        (["kernel", "--kind", "boundary", "--x", "1", "--y", "1"], {"side": "x"}),
+        (["kernel", "--kind", "boundary", "--x", "1", "--y", "1"], {"kind": "foo"}),
+        (["bound-states"], {"func": 1}),
+        (["bound-states"], {"command": "sigma"}),
+        (["bound-states"], {"out": None}),
+        (["bound-states"], {"mu": True}),
+    ],
+    ids=["side", "kind", "func", "command", "out-null", "mu-true"],
+)
+def test_config_value_is_parsed_as_its_flag(tmp_path, capsys, argv, override):
+    # a config key is a flag of the subcommand and its value passes that flag's
+    # checks: one usage line that names the flag, no output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override), encoding="utf-8")
+    rc, text = run(tmp_path, *argv, "--config", str(cfg))
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert text == "" and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert f"--{next(iter(override))}" in lines[0]
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    rc = main(["bound-states", "--out", str(tmp_path / "missing" / "f.json")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from conftest import fd_second
 from halfscatter.errors import AtEigenvalueError
-from halfscatter.model import ModelParams, potential
+from halfscatter.index import verify_index
+from halfscatter.model import ModelParams, classify_beta, potential
 from halfscatter.oracle import count_bound_states_shooting, greens_function_oracle
 from halfscatter.scattering import fourier_kernel, quadrature_panels
 from halfscatter.solutions import SpectralPoint
@@ -266,3 +267,21 @@ def test_eigenfunction_index_error():
         eigenfunction(ModelParams(0.0, 3.0), 1)
     with pytest.raises(IndexError):
         eigenfunction(ModelParams(2.0, 0.0), 0)
+
+
+def test_bound_count_is_the_beta_class_n():
+    # nu - mu - 1 at 2e-12 (1 - u 1e-3) from an even integer puts (nu-mu-1)/2 and
+    # -beta at about the 1e-12 integer tolerance, where two separate integer
+    # tests of them would disagree
+    rng = np.random.default_rng(2090)
+    mus = rng.uniform(0.0, 50.0, 2000)
+    gaps = 2.0 * rng.integers(0, 10, 2000) + rng.choice([-2e-12, 2e-12], 2000) * (1.0 - rng.uniform(0.0, 2e-3, 2000))
+    for mu, gap in zip(mus, gaps):
+        p = ModelParams(float(mu), float(mu + 1.0 + gap))
+        assert bound_states(p).count == (classify_beta(p).n or 0), (p.mu, p.nu)
+
+
+def test_verify_index_where_the_two_roundings_split():
+    rep = verify_index(ModelParams(3.514082088311661, 6.5140820883136605))
+    assert rep.passed
+    assert rep.bound_count == 2
