@@ -363,13 +363,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """A parser of --config alone, for the path before the full parse: the
+    file's tokens then join the command line, so it can supply a required flag."""
+    pre = _Parser(prog="halfscatter", add_help=False)
+    pre.add_argument("--config", default=None)
+    return pre
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            args = parser.parse_args([*argv, *_config_argv(args.config)])
+        config = _config_parser().parse_known_args(argv)[0].config
+        args = parser.parse_args([*argv, *_config_argv(config)] if config else argv)
         return args.func(args)
     except SystemExit:  # --help; every other argparse exit is a UsageError
         return EXIT_OK

@@ -36,7 +36,7 @@ MAX_TERMS = 20000
 # Lanes evaluated together: bounds the series temporaries, so peak memory
 # stays flat however large the broadcast lane shape is.
 BLOCK_LANES = 8192
-_CHUNK_TERMS = 16  # most series terms formed per lane in one pass
+_CHUNK_TERMS = 16  # series terms per lane between two stop tests
 _TERM_TOL = 1e-16
 _INT_TOL = 1e-12
 _MIRROR_TOL = 4 * np.finfo(float).eps  # conjugate-pair test of _linear_transform, relative to |a| + |b|
@@ -159,6 +159,11 @@ def _lanes(*arrays):
     return [v if v.shape == shape else np.broadcast_to(v, shape) for v in arrays]
 
 
+def _spread(x, size):
+    """Values per run (runs on the last axis) repeated over each run's lanes; size None: one lane per run."""
+    return x if x is None or size is None else np.repeat(x, size, axis=-1)
+
+
 def _sum_lanes(ratios, params, w, coef, g, total, max_terms, what):
     """Sum one series per lane, total + sum_n coef_n g_n.
 
@@ -168,61 +173,60 @@ def _sum_lanes(ratios, params, w, coef, g, total, max_terms, what):
     parameters per lane; ratios sees them once per run of equal lanes (a
     broadcast grid repeats them along a row), and each run's rho and delta
     are then spread over its lanes, so a lane gets the values that its own
-    parameters give.  Up to _CHUNK_TERMS ratios per lane are formed at once,
-    fewer while many lanes are active, but the products and sums run term by
-    term, so a lane's partial sums depend on neither the chunking nor the
-    other lanes.  A lane stops at the third consecutive term below 1e-16
-    relative to its partial sum; the hard cap guards slow convergence near
-    w -> 1.
+    parameters give.
+
+    Terms come in chunks of _CHUNK_TERMS, counted from term 0 for every lane.
+    A lane stops at the end of the first chunk whose last three terms are
+    each at most 1e-16 of its partial sum, and leaves the working set there;
+    the hard cap guards slow convergence near w -> 1.  The products and sums
+    run term by term, so a lane's partial sums depend on neither the lane
+    count nor the other lanes.  While few lanes are active, rho w is formed
+    for the whole chunk at once, where the cost per numpy call dominates;
+    with many lanes it is formed one term at a time, which keeps the
+    temporaries lane-sized.  Every product goes to a new array: on a
+    one-element complex array numpy rounds an in-place product differently
+    from the same product on a longer array, so a lane alone would differ
+    from the same lane in a grid.
     """
     out = np.empty(total.shape, dtype=complex)
     lanes = np.arange(total.size)
+    w = w.astype(complex)  # the cast that a product with real w makes, once
     if total.size > 1:  # one lane needs no search for runs
         # the start of each run, then the end: the parameters per run and its lane count
         edge = np.flatnonzero(np.concatenate((_run_heads(np.array(params)), [True])))
         params, size = [p[edge[:-1]] for p in params], edge[1:] - edge[:-1]
-    carry = np.zeros((2, total.size), dtype=bool)  # were the last two terms small?
-    stopped = np.zeros(total.size, dtype=bool)
-    n = n_stopped = 0
+    n = 0
     while lanes.size:
         if n >= max_terms:
             raise NoConvergenceError(f"{what} did not converge within {max_terms} terms")
-        j = n + np.arange(min(_CHUNK_TERMS, max(1, BLOCK_LANES // lanes.size), max_terms - n))
+        j = n + np.arange(min(_CHUNK_TERMS, max_terms - n))
         n += j.size
         rho, delta = ratios(j[:, None], params)
-        if params[0].size < lanes.size:
-            rho = np.repeat(rho, size, axis=1)
-            delta = None if delta is None else np.repeat(delta, size, axis=1)
-        rho = rho * w
-        term, tot = np.empty((2, j.size, lanes.size), dtype=complex)
+        rep = size if params[0].size < lanes.size else None
+        whole = j.size * lanes.size <= BLOCK_LANES  # few lanes: rho w for the whole chunk at once
+        if whole:
+            rho, delta = _spread(rho, rep) * w, _spread(delta, rep)
+        small = np.ones(lanes.size, dtype=bool)
         for i in range(j.size):
+            coef = coef * (rho[i] if whole else _spread(rho[i], rep) * w)
             if delta is None:
-                coef = np.multiply(coef, rho[i], out=term[i])
+                term = coef
             else:
-                coef, g = coef * rho[i], g + delta[i]
-                np.multiply(coef, g, out=term[i])
-            total = np.add(total, term[i], out=tot[i])
-        small = np.concatenate([carry, np.abs(term) <= _TERM_TOL * np.abs(tot)])
-        hit = small[2:] & small[1:-1] & small[:-2]
-        carry = small[-2:]
-        new = np.logical_or.reduce(hit, axis=0) > stopped  # a hit in a lane not stopped yet
-        n_new = np.count_nonzero(new)
-        if n_new:
-            # a stopped lane keeps its sum at the stop and adds exact zeros from
-            # then on; stopped lanes leave once they are half of the working set
-            total[new] = tot[hit[:, new].argmax(axis=0), new]
-            coef[new] = 0.0
-            stopped |= new
-            n_stopped += n_new
-        if 2 * n_stopped >= lanes.size:
-            out[lanes[stopped]] = total[stopped]
-            if n_stopped == lanes.size:  # nothing left to sum
+                g = g + (delta[i] if whole else _spread(delta[i], rep))
+                term = coef * g
+            total = total + term
+            if i >= j.size - 3:
+                small &= np.abs(term) <= _TERM_TOL * np.abs(total)
+        n_stop = np.count_nonzero(small)
+        if n_stop:
+            out[lanes[small]] = total[small]
+            if n_stop == lanes.size:  # nothing left to sum
                 break
-            keep = ~stopped
-            lanes, coef, total, carry, w = lanes[keep], coef[keep], total[keep], carry[:, keep], w[keep]
+            keep = ~small
+            lanes, coef, total, w = lanes[keep], coef[keep], total[keep], w[keep]
             g = None if g is None else g[keep]
             size = np.add.reduceat(keep, np.cumsum(size) - size, dtype=int)  # kept lanes per run
-            params, size, stopped, n_stopped = [p[size > 0] for p in params], size[size > 0], stopped[keep], 0
+            params, size = [p[size > 0] for p in params], size[size > 0]
     return out
 
 
@@ -370,8 +374,10 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     z -> 1-z connection formula or, when c-a-b is an integer, the
     logarithmic representation.  Each lane's series stops on its own terms,
     so its value does not depend on the other lanes.  Lanes are evaluated in
-    blocks of BLOCK_LANES, which bounds the temporaries.  ValueError,
-    InvalidCError and NoConvergenceError are raised if any lane incurs them.
+    blocks of at most BLOCK_LANES, which bounds the temporaries: ranges of
+    whole rows of the last axis, or pieces of a row longer than that.
+    ValueError, InvalidCError and NoConvergenceError are raised if any lane
+    incurs them.
 
     log_w, when given, is the exact natural log of 1-z.  Callers whose z comes
     from tanh(x)^2 or sech(x)^2 know log(1-z) analytically; passing it keeps
@@ -392,10 +398,21 @@ def hyp2f1_values(a, b, c, z, log_w=None):
         raise InvalidCError("lower parameter c is a nonpositive integer")
 
     views = np.broadcast_arrays(a, b, c, z, log_w)
+    shape = views[0].shape
+    views = np.atleast_2d(*views)
     out = np.empty(views[0].shape, dtype=complex)
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, BLOCK_LANES):
-        flat[start : start + BLOCK_LANES] = _block(*(v.flat[start : start + BLOCK_LANES] for v in views))
+    *lead, cols = out.shape
+    table = out.reshape(int(np.prod(lead)), cols)
+    # only the block is copied out of the broadcast views, never a whole view
+    step, cut = max(1, BLOCK_LANES // max(cols, 1)), min(max(cols, 1), BLOCK_LANES)
+    for r in range(0, table.shape[0], step):
+        # the rows: a slice of the one leading axis, or index arrays over several
+        rows = np.arange(r, min(r + step, table.shape[0]))
+        at = (slice(r, r + step),) if len(lead) == 1 else np.unravel_index(rows, lead)
+        for s in range(0, cols, cut):
+            part = table[r : r + step, s : s + cut]
+            part[...] = _block(*(v[(*at, slice(s, s + cut))].reshape(-1) for v in views)).reshape(part.shape)
+    out = out.reshape(shape)
     return out[()] if out.ndim == 0 else out
 
 

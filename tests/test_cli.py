@@ -222,6 +222,27 @@ def test_config_file_rejects_unknown_key(tmp_path):
     assert main(["bound-states", "--config", str(cfg)]) == EXIT_USAGE
 
 
+def test_config_file_supplies_a_required_flag(tmp_path, capsys):
+    # the file's path is read before the full parse, so it can stand in for --k
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": "1:2:3"}), encoding="utf-8")
+    assert main(["sigma", "--mu", "0", "--nu", "3", "--config", str(cfg)]) == EXIT_OK
+    from_config = capsys.readouterr().out
+    assert main(["sigma", "--mu", "0", "--nu", "3", "--k", "1:2:3"]) == EXIT_OK
+    assert from_config == capsys.readouterr().out != ""
+
+
+@pytest.mark.parametrize("config", [{"k": "1:2:3", "bogus": 1}, {"mu": 0}], ids=["unknown-key", "required-missing"])
+def test_config_file_with_required_flag_errors(tmp_path, capsys, config):
+    # an unknown key, or a required flag in neither place: one usage line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["sigma", "--nu", "3", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert ("--bogus" if "bogus" in config else "--k") in captured.err
+
+
 def test_eval_2f1(tmp_path):
     rc, text = run(tmp_path, "eval-2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "0.5")
     assert rc == EXIT_OK

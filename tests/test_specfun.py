@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from halfscatter.errors import InvalidCError, NoConvergenceError, PoleError
 from halfscatter.specfun import (
+    BLOCK_LANES,
     _linear_transform,
     _raw_series,
     bessel_script_J,
@@ -325,6 +326,81 @@ def test_2f1_grid_equals_one_lane_calls():
     grid = hyp2f1_values(a, b, c, z, log_w=log_w)
     alone = np.array([hyp2f1_values(a[i], b[i], c[i], z[i], log_w=log_w[i]) for i in range(z.size)])
     assert np.array_equal(grid, alone)
+
+
+def _boundary_lanes(k, x, mu=0.6, nu=0.55):
+    # the regular solution's 2F1 on the boundary: a and b vary with k, z = tanh(x)^2
+    al, be = (1 + mu + nu) / 2, (1 + mu - nu) / 2
+    return al + 0.5j * k, be + 0.5j * k, 1.0 + mu, np.tanh(x) ** 2, -2.0 * np.log(np.cosh(x))
+
+
+@pytest.mark.parametrize(
+    "k_shape, x_shape",
+    [
+        ((37, 1), (300,)),  # 300-lane rows: 27 of them per block, then the rest
+        ((2, 1), (BLOCK_LANES + 1808,)),  # rows longer than a block are cut along themselves
+        ((3, 1, 1), (700,)),  # with b on its own axis below: rows over two leading axes
+        ((), ()),  # one lane, a scalar result
+    ],
+    ids=["rows", "long-rows", "3d", "0d"],
+)
+def test_2f1_blocks_equal_one_flat_call(k_shape, x_shape):
+    # however the lanes are cut into blocks, each lane gets the value of the
+    # same lane in a flat 1-D call
+    rng = np.random.default_rng(5)
+    k = rng.uniform(0.0, 30.0, k_shape)
+    x = rng.uniform(0.05, 4.0, x_shape)
+    a, b, c, z, log_w = _boundary_lanes(k, x)
+    if len(k_shape) == 3:
+        b = b[0, 0, 0] + rng.uniform(-1.0, 1.0, (1, 4, 1))  # shapes (R,1,1), (1,S,1) and (T,)
+    grid = hyp2f1_values(a, b, c, z, log_w=log_w)
+    lanes = np.broadcast_arrays(a, b, c, z, log_w)
+    flat = hyp2f1_values(*(v.reshape(-1) for v in lanes))
+    assert grid.shape == lanes[0].shape
+    assert np.array_equal(np.reshape(grid, -1), flat)
+
+
+def test_2f1_one_lane_equals_lane_in_a_run():
+    # a lane alone and the same lane among a run of three equal (a, b, c):
+    # products on a one-element array must round as on a longer one
+    a, b, c, _, _ = _boundary_lanes(25.0, 1.0)
+    z = np.array([0.31, 0.4001744744195716, 0.52])
+    run = hyp2f1_values(a, b, c, z)
+    alone = hyp2f1_values(a, b, c, z[1])
+    assert run[1] == alone
+
+
+def test_2f1_near_terminating_lane_sums_past_the_drop():
+    # a = -5 + 1e-9: the terms drop by 1e-9 after n = 5 and the tail still counts
+    mp = pytest.importorskip("mpmath")
+    a, b, c = -5.0 + 1e-9, 1.5 + 0.5j, 2.25
+    for z in (0.3, 0.55):
+        with mp.workdps(50):
+            ref = complex(mp.hyp2f1(mp.mpf(a), mp.mpc(b), mp.mpf(c), mp.mpf(z)))
+        assert abs(gauss_2f1(a, b, c, z) - ref) <= 1e-14 * abs(ref)
+
+
+def test_2f1_slow_connection_side_lane():
+    # the connection formula's series at w = 0.999 run for over 100 chunks of
+    # 16 terms: the terms of both fall like |n^(c-2)| w^n = n^-4.8 w^n
+    mp = pytest.importorskip("mpmath")
+    a, b, c, w = 0.4 + 1.2j, -0.7 - 0.3j, -2.8 + 0.9j, 0.999
+    series = _raw_series(a, b, a + b - c + 1.0, np.array([w]))[0]
+    value = _linear_transform(np.array([a]), np.array([b]), np.array([c]), np.array([w]), np.log(np.array([w])))[0]
+    with mp.workdps(50):
+        A, B, C, W = mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpf(w)
+        ref_series = complex(mp.hyp2f1(A, B, A + B - C + 1, W))
+        ref = complex(mp.hyp2f1(A, B, C, 1 - W))
+        # both terms of the connection formula: the cancellation scale
+        scale = float(
+            abs(mp.gamma(C) * mp.gamma(C - A - B) / (mp.gamma(C - A) * mp.gamma(C - B)) * ref_series)
+            + abs(
+                mp.gamma(C) * mp.gamma(A + B - C) / (mp.gamma(A) * mp.gamma(B))
+                * W ** (C - A - B) * mp.hyp2f1(C - A, C - B, C - A - B + 1, W)
+            )
+        )
+    assert abs(series - ref_series) <= 1e-13 * abs(ref_series)
+    assert abs(value - ref) <= 1e-13 * scale
 
 
 @settings(max_examples=60, deadline=None)
