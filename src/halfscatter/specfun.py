@@ -161,7 +161,7 @@ def _lanes(*arrays):
 
 def _spread(x, size):
     """Values per run (runs on the last axis) repeated over each run's lanes; size None: one lane per run."""
-    return x if x is None or size is None else np.repeat(x, size, axis=-1)
+    return x if size is None else np.repeat(x, size, axis=-1)
 
 
 def _sum_lanes(ratios, params, w, coef, g, total, max_terms, what):
@@ -180,13 +180,13 @@ def _sum_lanes(ratios, params, w, coef, g, total, max_terms, what):
     each at most 1e-16 of its partial sum, and leaves the working set there;
     the hard cap guards slow convergence near w -> 1.  The products and sums
     run term by term, so a lane's partial sums depend on neither the lane
-    count nor the other lanes.  While few lanes are active, rho w is formed
-    for the whole chunk at once, where the cost per numpy call dominates;
-    with many lanes it is formed one term at a time, which keeps the
-    temporaries lane-sized.  Every product goes to a new array: on a
-    one-element complex array numpy rounds an in-place product differently
-    from the same product on a longer array, so a lane alone would differ
-    from the same lane in a grid.
+    count nor the other lanes.  rho w is formed for as many terms at once as
+    fit in BLOCK_LANES entries: a whole chunk while few lanes are active,
+    where the cost per numpy call dominates, one term at a time for a full
+    block, which bounds the temporaries.  Every product goes to a new array:
+    on a one-element complex array numpy rounds an in-place product
+    differently from the same product on a longer array, so a lane alone
+    would differ from the same lane in a grid.
     """
     out = np.empty(total.shape, dtype=complex)
     lanes = np.arange(total.size)
@@ -203,20 +203,22 @@ def _sum_lanes(ratios, params, w, coef, g, total, max_terms, what):
         n += j.size
         rho, delta = ratios(j[:, None], params)
         rep = size if params[0].size < lanes.size else None
-        whole = j.size * lanes.size <= BLOCK_LANES  # few lanes: rho w for the whole chunk at once
-        if whole:
-            rho, delta = _spread(rho, rep) * w, _spread(delta, rep)
+        span = BLOCK_LANES // lanes.size or 1  # terms of rho w per product: a whole chunk unless lanes are many
         small = np.ones(lanes.size, dtype=bool)
-        for i in range(j.size):
-            coef = coef * (rho[i] if whole else _spread(rho[i], rep) * w)
-            if delta is None:
-                term = coef
-            else:
-                g = g + (delta[i] if whole else _spread(delta[i], rep))
-                term = coef * g
-            total = total + term
-            if i >= j.size - 3:
-                small &= np.abs(term) <= _TERM_TOL * np.abs(total)
+        for s in range(0, j.size, span):
+            rw = _spread(rho[s : s + span], rep) * w
+            dg = None if delta is None else _spread(delta[s : s + span], rep)
+            last = j.size - 3 - s
+            for i in range(len(rw)):
+                coef = coef * rw[i]
+                if dg is None:
+                    term = coef
+                else:
+                    g = g + dg[i]
+                    term = coef * g
+                total = total + term
+                if i >= last:
+                    small &= np.abs(term) <= _TERM_TOL * np.abs(total)
         n_stop = np.count_nonzero(small)
         if n_stop:
             out[lanes[small]] = total[small]
@@ -375,7 +377,7 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     logarithmic representation.  Each lane's series stops on its own terms,
     so its value does not depend on the other lanes.  Lanes are evaluated in
     blocks of at most BLOCK_LANES, which bounds the temporaries: ranges of
-    whole rows of the last axis, or pieces of a row longer than that.
+    whole rows of the last axis, or equal pieces of a row longer than that.
     ValueError, InvalidCError and NoConvergenceError are raised if any lane
     incurs them.
 
@@ -403,10 +405,13 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     out = np.empty(views[0].shape, dtype=complex)
     *lead, cols = out.shape
     table = out.reshape(int(np.prod(lead)), cols)
-    # only the block is copied out of the broadcast views, never a whole view
-    step, cut = max(1, BLOCK_LANES // max(cols, 1)), min(max(cols, 1), BLOCK_LANES)
+    # only the block is copied out of the broadcast views, never a whole view;
+    # a row longer than a block is cut into equal pieces
+    width = max(cols, 1)
+    step, cut = max(1, BLOCK_LANES // width), -(-width // -(-width // BLOCK_LANES))
     for r in range(0, table.shape[0], step):
-        # the rows: a slice of the one leading axis, or index arrays over several
+        # the rows: a slice of one leading axis (index arrays would cost a
+        # one-lane call about 8 us), or index arrays over several
         rows = np.arange(r, min(r + step, table.shape[0]))
         at = (slice(r, r + step),) if len(lead) == 1 else np.unravel_index(rows, lead)
         for s in range(0, cols, cut):

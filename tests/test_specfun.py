@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from halfscatter.errors import InvalidCError, NoConvergenceError, PoleError
 from halfscatter.specfun import (
     BLOCK_LANES,
+    SERIES_THRESHOLD,
     _linear_transform,
     _raw_series,
     bessel_script_J,
@@ -358,6 +359,25 @@ def test_2f1_blocks_equal_one_flat_call(k_shape, x_shape):
     flat = hyp2f1_values(*(v.reshape(-1) for v in lanes))
     assert grid.shape == lanes[0].shape
     assert np.array_equal(np.reshape(grid, -1), flat)
+
+
+def test_2f1_lanes_of_a_large_grid_equal_one_lane_calls():
+    # 11,100 lanes, far more than a block holds: the lanes that stop first and
+    # last on either side of the threshold, and a random sample, each alone
+    rng = np.random.default_rng(7)
+    k = rng.uniform(0.0, 30.0, (37, 1))
+    x = rng.uniform(0.05, 4.0, (300,))
+    a, b, c, z, log_w = np.broadcast_arrays(*_boundary_lanes(k, x))
+    grid = hyp2f1_values(a, b, c, z, log_w=log_w)
+    low = z <= SERIES_THRESHOLD
+    # stopping order: early where z or 1-z is small, late near the threshold
+    near = np.abs(z - SERIES_THRESHOLD)
+    picks = [np.argmin(np.where(low, z, np.inf)), np.argmax(np.where(low, z, -np.inf))]
+    picks += [np.argmin(np.where(~low, near, np.inf)), np.argmax(np.where(~low, z, -np.inf))]
+    picks += list(rng.choice(z.size, 24, replace=False))
+    for i in picks:  # flat lane indices
+        at = np.unravel_index(i, z.shape)
+        assert grid[at] == hyp2f1_values(a[at], b[at], c[at], z[at], log_w=log_w[at])
 
 
 def test_2f1_one_lane_equals_lane_in_a_run():
