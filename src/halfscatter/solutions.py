@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidCError, PoleError
+from .errors import DomainError, IllConditionedError, InvalidCError, PoleError
 from .model import ModelParams
 from .specfun import _near_int, _nonpos_int, gamma_ratio, hyp2f1_values, log_gamma_ratio
 
@@ -97,6 +97,7 @@ def _solution(params: ModelParams, x, zeta, sign: int, regular: bool):
     """Shared closed form (tanh x)^(1/2+mu) (cosh x)^(-sign zeta) F(alpha + sign zeta/2,
     beta + sign zeta/2; c; .), with F in tanh^2 x (regular: c = 1+mu) or in
     sech^2 x (c = 1 + sign zeta).  x and zeta broadcast against each other.
+    A value that is not finite raises IllConditionedError.
     """
     x = _check_x(x)
     scalar = x.ndim == 0 and np.ndim(zeta) == 0
@@ -112,9 +113,12 @@ def _solution(params: ModelParams, x, zeta, sign: int, regular: bool):
             raise InvalidCError(f"c = 1 + {sign} zeta is a nonpositive integer at zeta = {zeta}; perturb zeta")
         F = hyp2f1_values(a, b, 1.0 + sign * zeta, np.exp(-2.0 * lc), log_w=2.0 * np.log(th))
     # in place: on a (k, x) grid these are the largest arrays in the package
-    pref = np.asarray(-sign * zeta, dtype=complex) * lc
-    pref += (0.5 + params.mu) * np.log(th)
-    F *= np.exp(pref, out=pref)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pref = np.asarray(-sign * zeta, dtype=complex) * lc
+        pref += (0.5 + params.mu) * np.log(th)
+        F *= np.exp(pref, out=pref)
+    if not np.isfinite(F).all():
+        raise IllConditionedError(f"solution not finite in double precision (|zeta| up to {np.max(np.abs(zeta)):.6g})")
     return complex(F[0]) if scalar else F
 
 

@@ -62,7 +62,7 @@ def log_gamma(z) -> complex:
 
 def digamma(z) -> complex:
     """Logarithmic derivative of Gamma; raises PoleError at nonpositive integers."""
-    # every pole of Gamma is real, as in _log_gamma_runs
+    # every pole of Gamma is real, as in _log_gamma_sum
     if _nonpos_int(z, 1e-14) and complex(z).imag == 0:
         raise PoleError(f"digamma pole at z = {z}")
     return complex(_sc.psi(complex(z)))
@@ -79,57 +79,46 @@ def pochhammer(q, n: int) -> complex:
     return out
 
 
-def _run_heads(args):
-    """Mask of the lanes (columns of args) that start a run of equal lanes."""
-    head = np.ones(args.shape[1], dtype=bool)
-    if head.size > 1:
-        np.logical_or.reduce(args[:, 1:] != args[:, :-1], axis=0, out=head[1:])
-    return head
-
-
-def _log_gamma_runs(numerators, denominators):
-    """log_gamma_ratio per run of equal lanes: sums, denominator-pole mask, run of each lane, shape."""
+def _log_gamma_sum(numerators, denominators):
+    """Per element of the broadcast arguments: the log Gamma sum and the denominator-pole mask."""
     values, n_num = (*numerators, *denominators), len(numerators)
-    shape = np.broadcast(*values).shape
-    args = np.empty((len(values),) + shape, dtype=complex)
+    args = np.empty((len(values),) + np.broadcast(*values).shape, dtype=complex)
     for i, v in enumerate(values):
         args[i] = v
-    args = args.reshape(len(values), -1)
-    head = _run_heads(args)
-    args = args[:, head]
-    # every pole of Gamma is real: a lane with an imaginary part is never one
+    # every pole of Gamma is real: an argument with an imaginary part is never one
     poles = _nonpos_int(args, 1e-14) & (args.imag == 0)
     zero = poles[n_num:].any(axis=0)
     if np.any(poles[:n_num] & ~zero):
         raise PoleError("gamma ratio: numerator at a pole of Gamma")
     with np.errstate(all="ignore"):
         lg = _sc.loggamma(args)
-        acc = np.zeros(lg.shape[1], dtype=complex)
+        acc = np.zeros(lg.shape[1:], dtype=complex)
         for i in range(len(lg)):
             acc = acc + lg[i] if i < n_num else acc - lg[i]
-    return acc, zero, np.cumsum(head) - 1, shape
+    return acc, zero
 
 
 def log_gamma_ratio(numerators, denominators):
     """Sum of principal log Gamma over numerators minus that over denominators.
 
-    The arguments broadcast against each other and the sum is evaluated once
-    per run of lanes with equal arguments (a broadcast repeats each parameter
-    along its inner axes).  Each term is analytic off the negative real axis,
-    so on a path avoiding it the imaginary part is a continuous phase.  A
-    denominator pole gives -inf; otherwise a numerator pole raises PoleError.
+    The arguments broadcast against each other and the sum is evaluated per
+    element of the broadcast; the 2F1 core passes its parameters once per
+    row, so a grid pays once per row.  Each term is analytic off the
+    negative real axis, so on a path avoiding it the imaginary part is a
+    continuous phase.  A denominator pole gives -inf; otherwise a numerator
+    pole raises PoleError.
     """
-    acc, zero, run, shape = _log_gamma_runs(numerators, denominators)
-    out = np.where(zero, -np.inf, acc)[run].reshape(shape)
+    acc, zero = _log_gamma_sum(numerators, denominators)
+    out = np.where(zero, -np.inf, acc)
     return complex(out) if out.ndim == 0 else out
 
 
 def gamma_ratio(numerators, denominators):
     """Product of Gamma over numerators divided by Gamma over denominators: the
-    exp of log_gamma_ratio, taken once per run, with an exact zero at a pole."""
-    acc, zero, run, shape = _log_gamma_runs(numerators, denominators)
+    exp of log_gamma_ratio per element, with an exact zero at a pole."""
+    acc, zero = _log_gamma_sum(numerators, denominators)
     with np.errstate(all="ignore"):
-        out = np.where(zero, 0.0, np.exp(acc))[run].reshape(shape)
+        out = np.where(zero, 0.0, np.exp(acc))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -148,32 +137,31 @@ def bessel_script_J(mu: float, x) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gauss 2F1 core.  Every helper works lane by lane on 1-D arrays of parameters
-# and argument (scalars broadcast), and every series stops per lane, so a
-# lane's value does not depend on which other lanes share the call.
+# Gauss 2F1 core.  Every helper takes a, b, c once per row (1-D arrays) and,
+# per lane, the argument and the index of the lane's row.  Branch tests, gamma
+# products and series ratios are formed per row; every series stops per lane,
+# so a lane's value does not depend on the other lanes.
 
 
-def _lanes(*arrays):
-    arrays = [np.atleast_1d(v) for v in arrays]
-    shape = np.broadcast(*arrays).shape
-    return [v if v.shape == shape else np.broadcast_to(v, shape) for v in arrays]
+def _used_rows(params, row):
+    """The rows of params that some lane uses, then each lane's index among them."""
+    used = np.zeros(params[0].shape, dtype=bool)
+    used[row] = True
+    if used.all():  # a scatter and a test: cheap where a call has one row
+        return (*params, row)
+    return (*(p[used] for p in params), (np.cumsum(used) - 1)[row])
 
 
-def _spread(x, size):
-    """Values per run (runs on the last axis) repeated over each run's lanes; size None: one lane per run."""
-    return x if size is None else np.repeat(x, size, axis=-1)
-
-
-def _sum_lanes(ratios, params, w, coef, g, total, max_terms, what):
+def _sum_lanes(ratios, params, row, w, coef, g, total, max_terms, what):
     """Sum one series per lane, total + sum_n coef_n g_n.
 
     coef_n = coef_(n-1) rho_n w and g_n = g_(n-1) + delta_n, where
     ratios(j, params) gives rho and delta (None: g stays 1) for the term
-    indices j as arrays of shape (len(j), runs).  params holds the series
-    parameters per lane; ratios sees them once per run of equal lanes (a
-    broadcast grid repeats them along a row), and each run's rho and delta
-    are then spread over its lanes, so a lane gets the values that its own
-    parameters give.
+    indices j as arrays of shape (len(j), rows).  params holds the series
+    parameters once per row and row the row of each lane; each row's rho and
+    delta are taken to its lanes (no take while every row has one lane), so
+    a lane gets the values that its own parameters give.  Rows without an
+    active lane are dropped.
 
     Terms come in chunks of _CHUNK_TERMS, counted from term 0 for every lane.
     A lane stops at the end of the first chunk whose last three terms are
@@ -191,10 +179,7 @@ def _sum_lanes(ratios, params, w, coef, g, total, max_terms, what):
     out = np.empty(total.shape, dtype=complex)
     lanes = np.arange(total.size)
     w = w.astype(complex)  # the cast that a product with real w makes, once
-    if total.size > 1:  # one lane needs no search for runs
-        # the start of each run, then the end: the parameters per run and its lane count
-        edge = np.flatnonzero(np.concatenate((_run_heads(np.array(params)), [True])))
-        params, size = [p[edge[:-1]] for p in params], edge[1:] - edge[:-1]
+    *params, row = _used_rows(params, row)
     n = 0
     while lanes.size:
         if n >= max_terms:
@@ -202,12 +187,12 @@ def _sum_lanes(ratios, params, w, coef, g, total, max_terms, what):
         j = n + np.arange(min(_CHUNK_TERMS, max_terms - n))
         n += j.size
         rho, delta = ratios(j[:, None], params)
-        rep = size if params[0].size < lanes.size else None
+        take = row if params[0].size < lanes.size else slice(None)
         span = BLOCK_LANES // lanes.size or 1  # terms of rho w per product: a whole chunk unless lanes are many
         small = np.ones(lanes.size, dtype=bool)
         for s in range(0, j.size, span):
-            rw = _spread(rho[s : s + span], rep) * w
-            dg = None if delta is None else _spread(delta[s : s + span], rep)
+            rw = rho[s : s + span, take] * w
+            dg = None if delta is None else delta[s : s + span, take]
             last = j.size - 3 - s
             for i in range(len(rw)):
                 coef = coef * rw[i]
@@ -227,35 +212,32 @@ def _sum_lanes(ratios, params, w, coef, g, total, max_terms, what):
             keep = ~small
             lanes, coef, total, w = lanes[keep], coef[keep], total[keep], w[keep]
             g = None if g is None else g[keep]
-            size = np.add.reduceat(keep, np.cumsum(size) - size, dtype=int)  # kept lanes per run
-            params, size = [p[size > 0] for p in params], size[size > 0]
+            *params, row = _used_rows(params, row[keep])
     return out
 
 
-def _raw_series(a, b, c, w, max_terms=MAX_TERMS):
+def _raw_series(a, b, c, row, w, max_terms=MAX_TERMS):
     """Defining power series of F(a,b;c;w) per lane, real w in [0,1)."""
-    a, b, c, w = _lanes(a, b, c, w)
 
     def ratios(j, params):
         a, b, c = params
         return (a + j) * (b + j) / ((c + j) * (j + 1.0)), None
 
     one = np.ones(w.shape, dtype=complex)
-    return _sum_lanes(ratios, [a, b, c], w, one, None, one, max_terms, "2F1 series")
+    return _sum_lanes(ratios, [a, b, c], row, w, one, None, one, max_terms, "2F1 series")
 
 
-def _terminating_series(a, b, c, w, n_terms):
+def _terminating_series(a, b, c, row, w, n_terms):
     """Exact finite sum when a or b sits at the nonpositive integer -n_terms."""
-    w = np.asarray(w, dtype=float)
     term = np.ones(w.shape, dtype=complex)
     total = np.ones(w.shape, dtype=complex)
     for n in range(n_terms):
-        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * w
+        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0)))[row] * w
         total = total + term
     return total
 
 
-def _linear_transform(a, b, c, w, log_w):
+def _linear_transform(a, b, c, row, w, log_w):
     """z -> 1-z connection formula per lane, valid when c-a-b is not an integer.
 
     Takes w = 1-z together with its exact logarithm so that the caller can
@@ -263,13 +245,12 @@ def _linear_transform(a, b, c, w, log_w):
     destroys the phase of the w^(c-a-b) factor.  A term whose gamma
     prefactor vanishes is not summed.
 
-    A mirrored lane, real c with c-a = conj(b) (the regular solution on the
+    A mirrored row, real c with c-a = conj(b) (the regular solution on the
     boundary), has c-b = conj(a) and c-a-b imaginary, so the second term's
     series and gamma product are the conjugates of the first's: only the
     first is formed.  The test allows a few ulps of |a| + |b|, since c, a
     and b are rounded separately.
     """
-    a, b, c, w, log_w = _lanes(a, b, c, w, log_w)
     ca, cb = c - a, c - b
     d = ca - b
     mirror = (c.imag == 0) & (np.abs(ca - np.conj(b)) <= _MIRROR_TOL * (np.abs(a) + np.abs(b)))
@@ -278,33 +259,29 @@ def _linear_transform(a, b, c, w, log_w):
         p2 = np.conj(p1)
     else:
         p2 = np.where(mirror, np.conj(p1), gamma_ratio((c, -d), (a, b)))
-    s1, s2 = p1 != 0, p2 != 0
-    sum2 = s2 & ~mirror
-    # both series share one set of lanes, so one loop sums them
-    f = _raw_series(
-        np.concatenate([a[s1], ca[sum2]]),
-        np.concatenate([b[s1], cb[sum2]]),
-        np.concatenate([(a + b - c + 1.0)[s1], (d + 1.0)[sum2]]),
-        np.concatenate([w[s1], w[sum2]]),
-    )
+    s1, s2 = (p1 != 0)[row], (p2 != 0)[row]
+    sum2 = s2 & ~mirror[row]
+    # both series share one set of lanes, so one loop sums them; the second's rows follow the first's
+    rows = [np.concatenate(v) for v in ([a, ca], [b, cb], [a + b - c + 1.0, d + 1.0])]
+    f = _raw_series(*rows, np.concatenate([row[s1], row[sum2] + a.size]), np.concatenate([w[s1], w[sum2]]))
     n1 = np.count_nonzero(s1)
     f2 = np.empty(w.shape, dtype=complex)
     f2[s1] = np.conj(f[:n1])  # the second series of a mirrored lane
     f2[sum2] = f[n1:]
     out = np.zeros(w.shape, dtype=complex)
-    out[s1] += p1[s1] * f[:n1]
-    out[s2] += p2[s2] * np.exp(d[s2] * log_w[s2]) * f2[s2]
+    out[s1] += p1[row[s1]] * f[:n1]
+    r2 = row[s2]
+    out[s2] += p2[r2] * np.exp(d[r2] * log_w[s2]) * f2[s2]
     return out
 
 
-def _log_case(a, b, c, w, log_w, m):
+def _log_case(a, b, c, row, w, log_w, m):
     """F(a,b;a+b+m;z) per lane for one integer m >= 0 near z = 1 (DLMF 15.8.10).
 
     A finite sum of m terms plus a logarithmic digamma series; m = 0 is the
     case with no finite part.  The epsilon-perturbation alternative loses
     about half the digits and is not used.
     """
-    a, b, c, w, lw = _lanes(a, b, c, w, log_w)
     out = np.zeros(w.shape, dtype=complex)
     if m > 0:
         finite = np.zeros(w.shape, dtype=complex)
@@ -312,57 +289,59 @@ def _log_case(a, b, c, w, log_w, m):
         for n in range(m):
             finite = finite + t
             if n < m - 1:
-                t = t * ((a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n))) * w
-        out = gamma_ratio((float(m), c), (a + m, b + m)) * finite
+                t = t * ((a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n)))[row] * w
+        out = gamma_ratio((float(m), c), (a + m, b + m))[row] * finite
 
     pref = gamma_ratio((c,), (a, b))
-    s = pref != 0
-    am, bm, w, lw = a[s] + m, b[s] + m, w[s], lw[s]
-    pref = -((-1.0) ** m) * pref[s] * np.exp(m * lw).astype(complex)
+    s = (pref != 0)[row]
+    am, bm, r, w, lw = a + m, b + m, row[s], w[s], log_w[s]
+    pref = -((-1.0) ** m) * pref[r] * np.exp(m * lw).astype(complex)
     coef = np.full(w.shape, 1.0 / float(_sc.factorial(m)), dtype=complex)
-    g = lw - _sc.psi(1.0) - _sc.psi(m + 1.0) + _sc.psi(am) + _sc.psi(bm)
+    g = lw - _sc.psi(1.0) - _sc.psi(m + 1.0) + _sc.psi(am)[r] + _sc.psi(bm)[r]
 
     def ratios(j, params):
         am, bm = params
         rho = (am + j) * (bm + j) / ((j + 1.0) * (j + m + 1.0))
         return rho, 1.0 / (am + j) + 1.0 / (bm + j) - (1.0 / (j + 1.0) + 1.0 / (j + m + 1.0))
 
-    total = _sum_lanes(ratios, [am, bm], w, coef, g, coef * g, MAX_TERMS, f"logarithmic 2F1 series (m={m})")
+    total = _sum_lanes(ratios, [am, bm], r, w, coef, g, coef * g, MAX_TERMS, f"logarithmic 2F1 series (m={m})")
     out[s] += pref * total
     return out
 
 
-def _block(a, b, c, z, log_w):
+def _block(a, b, c, row, z, log_w):
     """One block of lanes, each sent to its branch: the terminating sum when a
     or b is a nonpositive integer, the raw series up to the threshold, and
     above it the connection formula or, grouped by integer gap m = c-a-b, the
-    log form (m < 0 reduced by Euler's transformation)."""
+    log form (m < 0 reduced by Euler's transformation).  Every test but the
+    threshold is made once per row."""
     out = np.empty(z.shape, dtype=complex)
     poly = np.zeros(z.shape, dtype=bool)
     ints = _nonpos_int(np.array([a, b]))
     if np.count_nonzero(ints):
         degree = np.where(ints, -np.round(np.stack([a.real, b.real])), np.inf).min(axis=0)
-        poly = degree <= MAX_TERMS
-        for d in np.unique(degree[poly]):
-            s = degree == d
-            out[s] = _terminating_series(a[s], b[s], c[s], z[s], int(d))
+        for d in np.unique(degree[degree <= MAX_TERMS]):
+            s = (degree == d)[row]
+            out[s] = _terminating_series(*_used_rows((a, b, c), row[s]), z[s], int(d))
+        poly = (degree <= MAX_TERMS)[row]
     low = ~poly & (z <= SERIES_THRESHOLD)
     if np.count_nonzero(low):
-        out[low] = _raw_series(a[low], b[low], c[low], z[low])
+        out[low] = _raw_series(a, b, c, row[low], z[low])
     high = ~poly & ~low
     if not np.count_nonzero(high):
         return out
-    gap, m = _near_int(c - a - b)
+    gap, m = (v[row] for v in _near_int(c - a - b))
     s = high & ~gap
     if np.count_nonzero(s):
-        out[s] = _linear_transform(a[s], b[s], c[s], np.exp(log_w[s]), log_w[s])
+        out[s] = _linear_transform(*_used_rows((a, b, c), row[s]), np.exp(log_w[s]), log_w[s])
     for mm in sorted(set(m[high & gap].tolist())):
         s = high & gap & (m == mm)
-        sa, sb, sc, lw = a[s], b[s], c[s], log_w[s]
+        ra, rb, rc, r = _used_rows((a, b, c), row[s])
+        lw = log_w[s]
         if mm >= 0:
-            out[s] = _log_case(sa, sb, sc, np.exp(lw), lw, int(mm))
+            out[s] = _log_case(ra, rb, rc, r, np.exp(lw), lw, int(mm))
         else:
-            out[s] = np.exp((sc - sa - sb) * lw) * _log_case(sc - sa, sc - sb, sc, np.exp(lw), lw, -int(mm))
+            out[s] = np.exp((rc - ra - rb)[r] * lw) * _log_case(rc - ra, rc - rb, rc, r, np.exp(lw), lw, -int(mm))
     return out
 
 
@@ -378,6 +357,8 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     so its value does not depend on the other lanes.  Lanes are evaluated in
     blocks of at most BLOCK_LANES, which bounds the temporaries: ranges of
     whole rows of the last axis, or equal pieces of a row longer than that.
+    When a, b and c are constant along the last axis (a (k, x) grid), the
+    core reads them once per row of that axis; otherwise once per lane.
     ValueError, InvalidCError and NoConvergenceError are raised if any lane
     incurs them.
 
@@ -402,6 +383,8 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     views = np.broadcast_arrays(a, b, c, z, log_w)
     shape = views[0].shape
     views = np.atleast_2d(*views)
+    # a row is the last axis when a, b and c are constant along it, else a lane
+    by_row = all(v.shape[-1] == 1 or v.strides[-1] == 0 for v in views[:3])
     out = np.empty(views[0].shape, dtype=complex)
     *lead, cols = out.shape
     table = out.reshape(int(np.prod(lead)), cols)
@@ -416,7 +399,11 @@ def hyp2f1_values(a, b, c, z, log_w=None):
         at = (slice(r, r + step),) if len(lead) == 1 else np.unravel_index(rows, lead)
         for s in range(0, cols, cut):
             part = table[r : r + step, s : s + cut]
-            part[...] = _block(*(v[(*at, slice(s, s + cut))].reshape(-1) for v in views)).reshape(part.shape)
+            lanes = (*at, slice(s, s + cut))
+            first = (*at, slice(s, s + 1)) if by_row else lanes  # the parameters of each row: its first lane
+            row = np.arange(part.size) // (part.shape[1] if by_row else 1)
+            params = [v[first].reshape(-1) for v in views[:3]]
+            part[...] = _block(*params, row, *(v[lanes].reshape(-1) for v in views[3:])).reshape(part.shape)
     out = out.reshape(shape)
     return out[()] if out.ndim == 0 else out
 

@@ -182,6 +182,16 @@ def test_numerical_failure_exits_3(tmp_path):
     assert rc == EXIT_NUMERIC
 
 
+def test_solution_out_of_double_range_exits_3(capsys):
+    # L(3) at zeta = 300 overflows: a typed error, not rows of nan
+    argv = ["kernel", "--mu", "0", "--nu", "3", "--kind", "resolvent", "--zeta", "300", "--x", "3:3.2:2", "--y", "3.1"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == EXIT_NUMERIC
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_density_and_kernel_row_order(tmp_path):
     # one row per grid point, nested in order: k, then x, then y innermost
     grids = {"k": "0.5:2:3", "x": "0.4:2:4", "y": "0.7:1.5:2"}

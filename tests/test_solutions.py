@@ -1,11 +1,13 @@
 """Closed-form solutions: boundary behavior, asymptotics, connection formula,
 Wronskian, and ODE residuals against finite differences and the integrator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import fd_first, fd_second, ode_residual
-from halfscatter.errors import InvalidCError, PoleError
+from halfscatter.errors import IllConditionedError, InvalidCError, PoleError
 from halfscatter.model import ModelParams
 from halfscatter.oracle import integrate_decaying, integrate_regular
 from halfscatter.solutions import (
@@ -30,6 +32,14 @@ def test_spectral_point_validation():
     pt = SpectralPoint.boundary(2.0, "+")
     assert pt.zeta == -2j and pt.side == 1
     assert SpectralPoint.boundary(2.0, "-").zeta == 2j
+
+
+def test_solution_out_of_double_range_raises():
+    # (tanh 20)^(1/2) (cosh 20)^(50+10i) F overflows: a typed error, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedError):
+            eval_L(ModelParams(0, 3), 20.0, SpectralPoint.interior(50 + 10j))
 
 
 def test_free_boundary_solution_is_sine():

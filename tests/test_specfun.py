@@ -24,6 +24,12 @@ from halfscatter.specfun import (
     pochhammer,
 )
 
+
+def _row(*params):
+    # scalar parameters as one row of the 2F1 core, then the row index of one lane
+    return (*(np.array([p]) for p in params), np.zeros(1, dtype=int))
+
+
 # ---------------------------------------------------------------------------
 # log-gamma / digamma
 
@@ -164,8 +170,8 @@ def test_2f1_overlap_band_series_vs_transform():
         if abs((c - a - b).imag) < 0.05:
             c += 0.21j  # keep c-a-b safely off the integers
         z = np.array([rng.uniform(0.4, 0.6)])
-        s = _raw_series(a, b, c, z)[0]
-        t = _linear_transform(a, b, c, 1.0 - z, np.log1p(-z))[0]
+        s = _raw_series(*_row(a, b, c), z)[0]
+        t = _linear_transform(*_row(a, b, c), 1.0 - z, np.log1p(-z))[0]
         assert abs(s - t) / abs(s) < 1e-10
 
 
@@ -210,7 +216,7 @@ def test_2f1_rejects_bad_argument():
 
 def test_series_no_convergence_cap():
     with pytest.raises(NoConvergenceError):
-        _raw_series(0.5, 0.5, 1.0, np.array([0.999999]), max_terms=60)
+        _raw_series(*_row(0.5, 0.5, 1.0), np.array([0.999999]), max_terms=60)
 
 
 def test_log_w_pathway_matches_direct():
@@ -275,7 +281,7 @@ def test_2f1_errors_per_lane():
     with pytest.raises(ValueError):
         hyp2f1_values(a, b, 1.5, np.array([0.3, -0.1]))
     with pytest.raises(NoConvergenceError):
-        _raw_series(a, b, 1.0, np.array([0.1, 0.999999]), max_terms=60)
+        _raw_series(a, b, np.array([1.0, 1.0]), np.arange(2), np.array([0.1, 0.999999]), max_terms=60)
 
 
 @pytest.mark.parametrize("mu, nu", [(0, 3), (1, 1), (0.6, 0.55), (20, 0.3)])
@@ -287,9 +293,9 @@ def test_mirrored_lanes_against_mpmath(mu, nu):
     k = np.repeat([0.05, 0.5, 1.0, 3.0, 7.5, 15.0, 25.0, 40.0], 6)
     w = np.tile([1e-6, 1e-3, 0.01, 0.1, 0.25, 0.4], 8)
     a, b, c = al + 0.5j * k, be + 0.5j * k, np.full(k.shape, 1.0 + mu)
-    mirrored = _linear_transform(a, b, c, w, np.log(w))
+    mirrored = _linear_transform(a, b, c, np.arange(k.size), w, np.log(w))
     # an imaginary part of c far below rounding turns the rule off: both series summed
-    both = _linear_transform(a, b, c + 1e-300j, w, np.log(w))
+    both = _linear_transform(a, b, c + 1e-300j, np.arange(k.size), w, np.log(w))
     for i in range(k.size):
         with mp.workdps(40):
             A, B, C, W = mp.mpc(a[i]), mp.mpc(b[i]), mp.mpf(c[i]), mp.mpf(w[i])
@@ -342,8 +348,9 @@ def _boundary_lanes(k, x, mu=0.6, nu=0.55):
         ((2, 1), (BLOCK_LANES + 1808,)),  # rows longer than a block are cut along themselves
         ((3, 1, 1), (700,)),  # with b on its own axis below: rows over two leading axes
         ((), ()),  # one lane, a scalar result
+        ((40,), (25, 1)),  # parameters vary along the last axis: every lane is its own row
     ],
-    ids=["rows", "long-rows", "3d", "0d"],
+    ids=["rows", "long-rows", "3d", "0d", "lanes"],
 )
 def test_2f1_blocks_equal_one_flat_call(k_shape, x_shape):
     # however the lanes are cut into blocks, each lane gets the value of the
@@ -405,8 +412,8 @@ def test_2f1_slow_connection_side_lane():
     # 16 terms: the terms of both fall like |n^(c-2)| w^n = n^-4.8 w^n
     mp = pytest.importorskip("mpmath")
     a, b, c, w = 0.4 + 1.2j, -0.7 - 0.3j, -2.8 + 0.9j, 0.999
-    series = _raw_series(a, b, a + b - c + 1.0, np.array([w]))[0]
-    value = _linear_transform(np.array([a]), np.array([b]), np.array([c]), np.array([w]), np.log(np.array([w])))[0]
+    series = _raw_series(*_row(a, b, a + b - c + 1.0), np.array([w]))[0]
+    value = _linear_transform(*_row(a, b, c), np.array([w]), np.log(np.array([w])))[0]
     with mp.workdps(50):
         A, B, C, W = mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpf(w)
         ref_series = complex(mp.hyp2f1(A, B, A + B - C + 1, W))

@@ -234,7 +234,7 @@ def test_eigenfunction_normalized():
     assert abs(norm_sq - 1.0) < 1e-7
 
 
-@pytest.mark.parametrize("mu,nu,n", [(0.0, 20.0, 4), (0.0, 20.0, 8), (1.5, 9.2, 2)])
+@pytest.mark.parametrize("mu,nu,n", [(0.0, 20.0, 4), (0.0, 20.0, 8), (1.5, 9.2, 2), (2.0, 45.0, 10)])
 def test_eigenfunction_normalized_against_mpmath(mu, nu, n):
     # adaptive quadrature could not certify these norms; mpmath integrates
     # the squared closed form over x
@@ -250,6 +250,24 @@ def test_eigenfunction_normalized_against_mpmath(mu, nu, n):
 
         norm_sq = float(mp.quad(lambda x: m(x) ** 2, [0, 0.5, 1, 2, 4, 8, mp.inf]))
     assert abs(norm_sq * (f(1.0) / g(1.0)) ** 2 - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("n", [10, 17, 20])
+def test_eigenfunction_profile_against_mpmath(n):
+    # at nu = 45 the terminating 2F1 of M cancels as a sum in sech^2 x near x = 0;
+    # the Jacobi polynomial in 1 - 2 sech^2 x does not
+    mp = pytest.importorskip("mpmath")
+    p = ModelParams(2.0, 45.0)
+    zeta = bound_states(p).levels[n].zeta
+    x = np.linspace(0.01, 6.0, 601)
+    got = eigenfunction(p, n)(x)
+    with mp.workdps(50):
+        a, b, z = mp.mpf(p.alpha) + zeta / 2, mp.mpf(p.beta) + zeta / 2, mp.mpf(zeta)
+        ref = np.array([
+            float(mp.tanh(t) ** (mp.mpf(0.5) + p.mu) * mp.cosh(t) ** -z * mp.hyp2f1(a, b, 1 + z, mp.sech(t) ** 2))
+            for t in map(mp.mpf, x)
+        ])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_eigenfunction_orthogonal_to_continuum():
