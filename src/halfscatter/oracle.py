@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IllConditionedError, StepFailureError
 from .model import ModelParams
@@ -68,6 +67,14 @@ def _rhs_complex(params: ModelParams, energy: complex):
         return (y[2], y[3], ar * y[0] + ei * y[1], ar * y[1] - ei * y[0])
 
     return rhs
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported at the first solve: only the oracle
+    needs scipy's ODE stack, so importing halfscatter leaves it unloaded."""
+    import scipy.integrate
+
+    return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
 def _integrate(params, energy, span, u0, du0, tol, atol=None, events=None) -> OdeSolution:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, IllConditionedError, InvalidCError, PoleError
 from .model import ModelParams
-from .specfun import _near_int, _nonpos_int, gamma_ratio, hyp2f1_values, log_gamma_ratio
+from .specfun import _near_int, gamma_ratio, hyp2f1_values, log_gamma_ratio
 
 __all__ = [
     "SpectralPoint",
@@ -109,9 +109,12 @@ def _solution(params: ModelParams, x, zeta, sign: int, regular: bool):
     if regular:
         F = hyp2f1_values(a, b, 1.0 + params.mu, th**2, log_w=-2.0 * lc)
     else:
-        if np.any(_nonpos_int(1.0 + sign * zeta)):
-            raise InvalidCError(f"c = 1 + {sign} zeta is a nonpositive integer at zeta = {zeta}; perturb zeta")
-        F = hyp2f1_values(a, b, 1.0 + sign * zeta, np.exp(-2.0 * lc), log_w=2.0 * np.log(th))
+        # hyp2f1_values tests c once; the error names zeta
+        try:
+            F = hyp2f1_values(a, b, 1.0 + sign * zeta, np.exp(-2.0 * lc), log_w=2.0 * np.log(th))
+        except InvalidCError:
+            msg = f"c = 1 + {sign} zeta is a nonpositive integer at zeta = {zeta}; perturb zeta"
+            raise InvalidCError(msg) from None
     # in place: on a (k, x) grid these are the largest arrays in the package
     with np.errstate(over="ignore", invalid="ignore"):
         pref = np.asarray(-sign * zeta, dtype=complex) * lc

@@ -371,7 +371,7 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     if log_w is None:
         with np.errstate(divide="ignore"):
             log_w = np.log1p(-z)
-    z, log_w = np.broadcast_arrays(z, np.asarray(log_w, dtype=float))
+    log_w = np.asarray(log_w, dtype=float)
     # log_w only matters on the transformed branch; there it must witness z < 1
     high_bad = (z > SERIES_THRESHOLD) & (~np.isfinite(log_w) | (log_w >= 0.0))
     if np.any(z < 0.0) or np.any(high_bad):

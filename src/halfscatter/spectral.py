@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import eval_jacobi
 
 from .errors import AtEigenvalueError
@@ -107,6 +106,8 @@ def wronskian_roots(params: ModelParams, delta: float = 1e-9) -> list[float]:
     once, as the node.  Returned in decreasing order, matching the level
     ordering of bound_states.
     """
+    from scipy.optimize import brentq  # loaded at first use, not with halfscatter
+
     t = params.nu - params.mu - 1.0
     if t <= 0:
         return []

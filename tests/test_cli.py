@@ -1,6 +1,10 @@
 """CLI contract: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +270,49 @@ def test_oracle_check_passes(tmp_path):
     lines = rows_of(text)
     assert lines[0] == "check,discrepancy,tolerance,status"
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+# One fresh interpreter: the lean commands first, then oracle-check; prints
+# which of the two scipy subpackages are loaded after each stage.
+_SOLVER_STACK_PROBE = """
+import json, os, sys
+import halfscatter
+from halfscatter.cli import main
+
+def heavy():
+    return sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules)
+
+out = os.path.join(sys.argv[1], "out.txt")
+stages = [("import", 0, heavy())]
+for argv in json.loads(sys.argv[2]):
+    stages.append((argv[0], main([*argv, "--out", out]), heavy()))
+print(json.dumps(stages))
+"""
+
+
+def test_only_oracle_check_loads_the_solver_stack(tmp_path):
+    lean = [
+        ["density", "--mu", "0.5", "--nu", "0.5", "--k", "1", "--x", "1", "--y", "1"],
+        ["kernel", "--mu", "1", "--nu", "2", "--kind", "resolvent", "--x", "0.2:1:2", "--y", "1"],
+        ["kernel", "--mu", "1", "--nu", "2", "--kind", "boundary", "--k", "1.3", "--x", "0.2:1:2", "--y", "1"],
+        ["sigma", "--mu", "0", "--nu", "3", "--k", "0.5:1:2"],
+        ["verify-index", "--mu", "0", "--nu", "3"],
+        ["winding", "--mu", "0", "--nu", "3"],
+        ["bound-states", "--mu", "0", "--nu", "5"],
+        ["eval-2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "0.5"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argvs = lean + [["oracle-check", "--mu", "1", "--nu", "2"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SOLVER_STACK_PROBE, str(tmp_path), json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    stages = json.loads(proc.stdout)
+    assert [name for name, _, _ in stages] == ["import"] + [argv[0] for argv in argvs]
+    for name, rc, loaded in stages[:-1]:
+        assert rc == EXIT_OK and loaded == [], name
+    assert stages[-1][1:] == [EXIT_OK, ["scipy.integrate", "scipy.optimize"]]
 
 
 def test_float_format_17_digits(tmp_path):

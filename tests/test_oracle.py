@@ -6,6 +6,7 @@ import cmath
 import numpy as np
 import pytest
 
+import halfscatter.oracle as oracle_mod
 from halfscatter.errors import IllConditionedError
 from halfscatter.model import ModelParams
 from halfscatter.oracle import (
@@ -186,3 +187,20 @@ def test_every_closed_form_has_an_oracle_counterpart():
         assert abs(g - r) / abs(r) < 1e-6, (mu, nu)
 
         assert count_bound_states_shooting(p) == bound_states(p).count, (mu, nu)
+
+
+def test_every_solve_goes_through_the_module_solve_ivp(monkeypatch):
+    # the benchmark's tracer counts solves and rhs calls by wrapping oracle.solve_ivp
+    calls = []
+    solve = oracle_mod.solve_ivp
+
+    def counting(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        calls.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(oracle_mod, "solve_ivp", counting)
+    integrate_regular(FREE, energy=1.0, x0=1e-3, x1=5.0)
+    assert len(calls) == 1
+    assert count_bound_states_shooting(ModelParams(0.0, 3.0)) == 1
+    assert len(calls) == 2 and min(calls) > 0
