@@ -1,9 +1,10 @@
 """Command-line interface: evaluations, sweeps, and verification reports.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error, 3 numerical failure.  CSV output is RFC-4180 with a header row; JSON
-uses stable key order.  Floats are printed with 17 significant digits so that
-identical configs produce byte-identical, round-trip-exact artifacts.
+error (an argument outside the domain of its operation included), 3 numerical
+failure.  CSV output is RFC-4180 with a header row; JSON uses stable key
+order.  Floats are printed with 17 significant digits so that identical
+configs produce byte-identical, round-trip-exact artifacts.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import index as index_mod
 from . import oracle as oracle_mod
-from .errors import HalfScatterError
+from .errors import DomainError, HalfScatterError
 from .model import ModelParams
 from .scattering import sigma as sigma_cf
 from .scattering import sigma_samples
@@ -152,8 +153,6 @@ def _csv_lines(header: list[str], rows) -> str:
 
 
 def cmd_sigma(args) -> int:
-    if np.any(args.k <= 0):
-        raise UsageError("sigma needs k > 0")
     samples = sigma_samples(_params(args), args.k)
     text = _csv_lines(
         ["k", "sigma_re", "sigma_im", "phase"],
@@ -231,7 +230,7 @@ def cmd_oracle_check(args) -> int:
     pt = SpectralPoint.interior(args.zeta)
     rows = []
 
-    sol = oracle_mod.integrate_regular(p, energy=-(pt.zeta**2), x0=1e-5, x1=6.0, tol=1e-11)
+    sol = oracle_mod.integrate_regular(p, energy=-(pt.zeta**2), x1=6.0, tol=1e-11)
     xs = np.linspace(0.5, 6.0, 24)
     u, _ = sol(xs)
     lv = eval_L(p, xs, pt)
@@ -381,7 +380,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:  # --help; every other argparse exit is a UsageError
         return EXIT_OK
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:  # every DomainError here comes from an argument
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (HalfScatterError, ValueError, ArithmeticError) as exc:

@@ -30,9 +30,10 @@ __all__ = [
 _DEFAULT_TOL = 1e-10
 X_FAR = 30.0  # start of the inward integration of the decaying solution
 _MAX_LOG_GROWTH = 700.0  # log of the largest growth an integration may carry in double range
-# Start of the regular solves of extract_sigma and greens_function_oracle: the
-# leading-power data there is good to about x0^(2+2mu), the solve tolerance.
+# Start of every regular solve: the leading-power data there is good to
+# about X0_FINE^(2+2mu), the solve tolerance.
 X0_FINE = 1e-5
+FIT_WINDOW = (8.0, 12.0)  # extract_sigma's plane-wave fit window
 # The shooting count: regular data at SHOOT_X0, nodes counted up to SHOOT_X_MAX.
 SHOOT_X0 = 1e-3
 SHOOT_X_MAX = 25.0
@@ -107,48 +108,36 @@ def _regular_data(params: ModelParams, x0: float):
     return x0**p, p * x0 ** (p - 1.0)
 
 
-def integrate_regular(
-    params: ModelParams,
-    energy,
-    x0: float = 1e-3,
-    x1: float = 12.0,
-    tol: float = _DEFAULT_TOL,
-) -> OdeSolution:
-    """Integrate -u'' + V u = E u outward from regular data u(x0) = x0^(1/2+mu).
+def integrate_regular(params: ModelParams, energy, x1: float, tol: float = _DEFAULT_TOL) -> OdeSolution:
+    """Integrate -u'' + V u = E u outward over (X0_FINE, x1) from regular data
+    u(X0_FINE) = X0_FINE^(1/2+mu).
 
-    Only the leading power feeds the initial data; its O(x0^2) relative error
-    is controlled by tightening x0, so pass a smaller x0 when agreement beyond
-    about x0^(2+2mu) is needed.
+    Only the leading power feeds the initial data; its relative error is of
+    order X0_FINE^(2+2mu), at most the default tolerance.
     """
-    if x0 <= 0 or x1 <= x0:
-        raise DomainError("need 0 < x0 < x1")
-    u0, du0 = _regular_data(params, x0)
-    return _integrate(params, energy, (x0, x1), u0, du0, tol)
+    if x1 <= X0_FINE:
+        raise DomainError(f"need x1 > X0_FINE = {X0_FINE:g}")
+    u0, du0 = _regular_data(params, X0_FINE)
+    return _integrate(params, energy, (X0_FINE, x1), u0, du0, tol)
 
 
-def integrate_decaying(
-    params: ModelParams,
-    pt: SpectralPoint,
-    x_low: float,
-    x_far: float = X_FAR,
-    tol: float = _DEFAULT_TOL,
-) -> OdeSolution:
-    """Integrate inward from x_far with decaying data (1, -zeta), unit scale.
+def integrate_decaying(params: ModelParams, pt: SpectralPoint, x_low: float) -> OdeSolution:
+    """Integrate inward from X_FAR with decaying data (1, -zeta), unit scale.
 
     Backward integration keeps the decaying solution clean: the unwanted
     growing mode dies in the reversed direction.  The solution grows like
-    e^(Re zeta (x_far - x)) on the way in; raises IllConditionedError when that
+    e^(Re zeta (X_FAR - x)) on the way in; raises IllConditionedError when that
     would leave double range.
     """
     zeta = complex(pt.zeta)
-    if zeta.real * (x_far - x_low) > _MAX_LOG_GROWTH:
+    if zeta.real * (X_FAR - x_low) > _MAX_LOG_GROWTH:
         raise IllConditionedError(
-            f"decaying solution grows by e^{zeta.real * (x_far - x_low):.4g} from x = {x_far:g} to {x_low:g}"
+            f"decaying solution grows by e^{zeta.real * (X_FAR - x_low):.4g} from x = {X_FAR:g} to {x_low:g}"
         )
-    return _integrate(params, -(zeta**2), (x_far, x_low), 1.0, -zeta, tol, tol)
+    return _integrate(params, -(zeta**2), (X_FAR, x_low), 1.0, -zeta, _DEFAULT_TOL, _DEFAULT_TOL)
 
 
-def extract_sigma(params: ModelParams, k: float, fit_window: tuple[float, float] = (8.0, 12.0)) -> complex:
+def extract_sigma(params: ModelParams, k: float) -> complex:
     """Scattering function from a least-squares plane-wave fit of the regular solution.
 
     On the window the integrated solution is A e^(ikx) + B e^(-ikx) up to
@@ -159,8 +148,8 @@ def extract_sigma(params: ModelParams, k: float, fit_window: tuple[float, float]
     """
     if k <= 0:
         raise DomainError("extract_sigma requires k > 0")
-    lo, hi = fit_window
-    sol = integrate_regular(params, energy=k * k, x0=X0_FINE, x1=hi)
+    lo, hi = FIT_WINDOW
+    sol = integrate_regular(params, energy=k * k, x1=hi)
     xs = np.linspace(lo, hi, 64)
     u, _ = sol(xs)
     waves = np.column_stack([np.exp(1j * k * xs), np.exp(-1j * k * xs)])
@@ -201,7 +190,7 @@ def greens_function_oracle(params: ModelParams, pt: SpectralPoint, x: float, y: 
     lo, hi = min(x, y), max(x, y)
     zeta = complex(pt.zeta)
     dec = integrate_decaying(params, pt, x_low=lo * 0.5)
-    reg = integrate_regular(params, energy=-(zeta**2), x0=X0_FINE, x1=hi)
+    reg = integrate_regular(params, energy=-(zeta**2), x1=hi)
     u_r, du_r = reg(hi)
     u_d, du_d = dec(hi)
     u_r_lo, _ = reg(lo)

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 K_CUTOFF_DEFAULT = 40.0  # k-integration cutoff of the transforms
+WAVE_NODES_PER_PANEL = 16  # Gauss-Legendre nodes per unit k-panel of wave_operator_apply
 
 
 def log_sigma(params: ModelParams, k):
@@ -221,19 +222,14 @@ def adjoint_transform(
     return SampledFunction(grid=x_grid.grid, values=vals, weights=x_grid.weights)
 
 
-def wave_operator_apply(
-    params: ModelParams,
-    side,
-    f: SampledFunction,
-    k_max: float = K_CUTOFF_DEFAULT,
-    nodes_per_panel: int = 16,
-) -> SampledFunction:
+def wave_operator_apply(params: ModelParams, side, f: SampledFunction) -> SampledFunction:
     """Stationary wave operator action W_side f = (F^side)* (sine transform of f).
 
-    The k-integration is truncated at k_max; for smooth compactly supported f
-    the sine transform decays rapidly, so the truncation error is negligible
-    well before the documented O(1/k_max) bound.
+    The k-integration is truncated at K_CUTOFF_DEFAULT on unit panels of
+    WAVE_NODES_PER_PANEL nodes; for smooth compactly supported f the sine
+    transform decays rapidly, so the truncation error is negligible well
+    before the documented O(1/K_CUTOFF_DEFAULT) bound.
     """
-    kk, kw = quadrature_panels(0.0, k_max, 1.0, nodes_per_panel)
+    kk, kw = quadrature_panels(0.0, K_CUTOFF_DEFAULT, 1.0, WAVE_NODES_PER_PANEL)
     g = sine_transform(f, SampledFunction(grid=kk, values=np.zeros_like(kk), weights=kw))
     return adjoint_transform(params, side, g, f)

@@ -228,7 +228,8 @@ def _raw_series(a, b, c, row, w, max_terms=MAX_TERMS):
 
 
 def _terminating_series(a, b, c, row, w, n_terms):
-    """Exact finite sum when a or b sits at the nonpositive integer -n_terms."""
+    """The series of F(a,b;c;w) through its w^n_terms term: the exact sum when
+    a or b sits at the nonpositive integer -n_terms."""
     term = np.ones(w.shape, dtype=complex)
     total = np.ones(w.shape, dtype=complex)
     for n in range(n_terms):
@@ -283,14 +284,8 @@ def _log_case(a, b, c, row, w, log_w, m):
     about half the digits and is not used.
     """
     out = np.zeros(w.shape, dtype=complex)
-    if m > 0:
-        finite = np.zeros(w.shape, dtype=complex)
-        t = np.ones(w.shape, dtype=complex)
-        for n in range(m):
-            finite = finite + t
-            if n < m - 1:
-                t = t * ((a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n)))[row] * w
-        out = gamma_ratio((float(m), c), (a + m, b + m))[row] * finite
+    if m > 0:  # the finite part: F(a, b; 1-m; w) cut after m terms
+        out = gamma_ratio((float(m), c), (a + m, b + m))[row] * _terminating_series(a, b, 1.0 - m, row, w, m - 1)
 
     pref = gamma_ratio((c,), (a, b))
     s = (pref != 0)[row]

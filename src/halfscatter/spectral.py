@@ -23,6 +23,9 @@ __all__ = [
     "eigenfunction",
 ]
 
+ROOT_SCAN_START = 1e-9  # first node of wronskian_roots' scan, just above the edge zeta = 0
+
+
 @dataclass(frozen=True)
 class BoundStateLevel:
     n: int
@@ -98,8 +101,9 @@ def bound_states(params: ModelParams) -> BoundStateReport:
     return BoundStateReport(count=count, levels=tuple(levels))
 
 
-def wronskian_roots(params: ModelParams, delta: float = 1e-9) -> list[float]:
-    """Zeros of the real Wronskian on (delta, nu-mu-1+delta] by Brent's method.
+def wronskian_roots(params: ModelParams) -> list[float]:
+    """Zeros of the real Wronskian on [s, nu-mu-1+s], s = ROOT_SCAN_START, by
+    Brent's method.
 
     The zeros are simple, so a scan grid finer than their spacing (which is 2)
     brackets each one in a sign change; a zero that lands on a node is taken
@@ -116,7 +120,7 @@ def wronskian_roots(params: ModelParams, delta: float = 1e-9) -> list[float]:
         return wronskian(params, SpectralPoint.interior(zeta)).real
 
     n_seg = max(4, int(np.ceil(t / 0.25)) + 1)  # scan step 0.25
-    grid = np.linspace(delta, t + delta, n_seg)
+    grid = np.linspace(ROOT_SCAN_START, t + ROOT_SCAN_START, n_seg)
     vals = [w_real(g) for g in grid]
     roots = [float(g) for g, v in zip(grid, vals) if v == 0.0]
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):

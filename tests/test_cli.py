@@ -152,14 +152,17 @@ def test_non_finite_argument_exits_2(tmp_path, argv):
         ["kernel", "--mu", "1", "--nu", "2", "--zeta", "1.5-0.5j", "--x", "1", "--y", "2"],
     ],
 )
-def test_negative_value_after_flag(tmp_path, argv):
+def test_negative_value_after_flag(tmp_path, capsys, argv):
     # parsed as with --flag=value: argparse alone took -1e-3 for an option name and exited 2
     joined = list(argv)
     for i in range(len(argv) - 1, 0, -1):
         if joined[i][0] == "-" and joined[i][1] != "-":
             joined[i - 1 : i + 1] = [f"{joined[i - 1]}={joined[i]}"]
     rc, text = run(tmp_path, *argv)
-    assert rc != EXIT_USAGE
+    if "-1.5+0.5j" in argv:  # the parsed zeta reaches the domain check, which names it
+        assert capsys.readouterr().err == "error: interior spectral point needs Re(zeta) > 0, got (-1.5+0.5j)\n"
+    else:
+        assert rc != EXIT_USAGE
     assert (rc, text) == run(tmp_path, *joined)
 
 
@@ -184,6 +187,26 @@ def test_numerical_failure_exits_3(tmp_path):
         "--zeta", "2.0", "--x", "1.0", "--y", "1.0",
     )
     assert rc == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", "--mu", "-1", "--k", "1:2:3"],
+        ["sigma", "--k", "0:1:3"],
+        ["density", "--k", "0:1:3", "--x", "1", "--y", "1"],
+        ["density", "--k", "1", "--x", "0:1:3", "--y", "1"],
+        ["kernel", "--kind", "boundary", "--k", "-1", "--x", "1", "--y", "1"],
+        ["kernel", "--zeta", "-1+0j", "--x", "1", "--y", "1"],
+    ],
+)
+def test_out_of_domain_argument_exits_2(capsys, argv):
+    # a DomainError on a command's path comes from its arguments: a usage error, one stderr line
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_solution_out_of_double_range_exits_3(capsys):

@@ -25,7 +25,7 @@ FREE = ModelParams(0.5, 0.5)
 
 def test_free_case_is_sine():
     k = 1.1
-    sol = integrate_regular(FREE, energy=k * k, x0=1e-3, x1=10.0)
+    sol = integrate_regular(FREE, energy=k * k, x1=10.0)
     xs = np.linspace(0.1, 10, 60)
     u, _ = sol(xs)
     ref = np.sin(k * xs) / k
@@ -38,7 +38,7 @@ def test_convergence_with_tolerance():
     k = 1.0
     errs = []
     for tol in (1e-6, 1e-8, 1e-10):
-        sol = integrate_regular(FREE, energy=k * k, x0=1e-3, x1=10.0, tol=tol)
+        sol = integrate_regular(FREE, energy=k * k, x1=10.0, tol=tol)
         xs = np.linspace(1, 10, 30)
         u, _ = sol(xs)
         ref = np.sin(k * xs) / k
@@ -51,7 +51,7 @@ def test_convergence_with_tolerance():
 def test_matches_regular_closed_form():
     params = ModelParams(0.0, 3.0)
     zeta = 2 + 1j
-    sol = integrate_regular(params, energy=-(zeta**2), x0=1e-5, x1=6.0, tol=1e-11)
+    sol = integrate_regular(params, energy=-(zeta**2), x1=6.0, tol=1e-11)
     xs = np.linspace(0.1, 6, 40)
     u, _ = sol(xs)
     lv = eval_L(params, xs, SpectralPoint.interior(zeta))
@@ -63,8 +63,8 @@ def test_integrated_wronskian_constant():
     params = ModelParams(1.0, 4.0)
     zeta = 1.2 + 0.8j
     pt = SpectralPoint.interior(zeta)
-    reg = integrate_regular(params, energy=-(zeta**2), x0=1e-4, x1=8.0)
-    dec = integrate_decaying(params, pt, x_low=0.3, x_far=30.0)
+    reg = integrate_regular(params, energy=-(zeta**2), x1=8.0)
+    dec = integrate_decaying(params, pt, x_low=0.3)
     ws = []
     for x in np.linspace(0.5, 7.5, 15):
         ur, dur = reg(x)
@@ -95,9 +95,10 @@ def test_extract_sigma_fits_the_e_minus_2x_correction(mu, nu):
 
 
 def test_extract_sigma_ill_conditioned_window():
-    # window far too short for the wavelength: plane-wave columns collinear
+    # the window (8, 12) is far too short for the wavelength at k = 1e-7: the plane-wave
+    # columns are nearly collinear, condition number 3.15e8 (1e-6 gives 3.15e7)
     with pytest.raises(IllConditionedError):
-        extract_sigma(FREE, 1e-6, fit_window=(8.0, 8.02))
+        extract_sigma(FREE, 1e-7)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +166,7 @@ def test_every_closed_form_has_an_oracle_counterpart():
     for mu, nu in [(0, 0), (0, 3), (0, 2.5), (1, 1), (1, 4), (2, 0), (0.5, 0.5), (3, 0.5)]:
         p = ModelParams(mu, nu)
         pt = SpectralPoint.interior(zeta)
-        sol = integrate_regular(p, energy=-(zeta**2), x0=1e-5, x1=6.0, tol=1e-11)
+        sol = integrate_regular(p, energy=-(zeta**2), x1=6.0, tol=1e-11)
         xs = np.linspace(0.3, 6.0, 25)
         u, _ = sol(xs)
         lv = eval_L(p, xs, pt)
@@ -200,7 +201,7 @@ def test_every_solve_goes_through_the_module_solve_ivp(monkeypatch):
         return result
 
     monkeypatch.setattr(oracle_mod, "solve_ivp", counting)
-    integrate_regular(FREE, energy=1.0, x0=1e-3, x1=5.0)
+    integrate_regular(FREE, energy=1.0, x1=5.0)
     assert len(calls) == 1
     assert count_bound_states_shooting(ModelParams(0.0, 3.0)) == 1
     assert len(calls) == 2 and min(calls) > 0

@@ -333,7 +333,7 @@ def test_wave_operator_isometric_on_continuum():
     x, w = quadrature_panels(0.0, 30.0, 1.0, 32)
     fx = np.sqrt(2 / np.pi) * np.sin(np.outer(x, kk)) @ (kw * prof)
     f = SampledFunction(grid=x, values=fx, weights=w)
-    wf = wave_operator_apply(p, -1, f, k_max=8.0, nodes_per_panel=24)
+    wf = wave_operator_apply(p, -1, f)
     assert abs(wf.norm() / f.norm() - 1.0) < 1e-3
 
 

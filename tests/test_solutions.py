@@ -147,8 +147,8 @@ def test_wronskian_matches_integrated_solutions():
     params = ModelParams(1.0, 2.0)
     zeta = 1.5 + 0.5j
     pt = SpectralPoint.interior(zeta)
-    reg = integrate_regular(params, energy=-(zeta**2), x0=1e-5, x1=6.0, tol=1e-11)
-    dec = integrate_decaying(params, pt, x_low=0.4, x_far=30.0, tol=1e-11)
+    reg = integrate_regular(params, energy=-(zeta**2), x1=6.0, tol=1e-11)
+    dec = integrate_decaying(params, pt, x_low=0.4)
     vals = []
     for x in (0.5, 1.0, 2.0, 4.0):
         ur, dur = reg(x)

@@ -191,8 +191,9 @@ def test_wronskian_roots_match_levels_random_pairs():
 
 
 def test_wronskian_roots_take_a_node_zero_once():
-    # delta = 0.25 puts scan nodes exactly on both levels, 4 and 2
-    assert wronskian_roots(ModelParams(0.0, 5.0), delta=0.25) == [4.0, 2.0]
+    # at nu = 3 + 1e-9 the level zeta_1 sits on the first scan node, ROOT_SCAN_START = 1e-9,
+    # where W is exactly zero; zeta_0 = 2 + 1e-9 lies between nodes and is bracketed
+    assert wronskian_roots(ModelParams(0.0, 3.0 + 1e-9)) == [2.000000001, 1e-9]
 
 
 def test_shooting_count_matches_report():
