@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, IllConditionedError, InvalidCError, PoleError
 from .model import ModelParams
-from .specfun import _near_int, gamma_ratio, hyp2f1_values, log_gamma_ratio
+from .specfun import BLOCK_LANES, _near_int, gamma_ratio, hyp2f1_values, log_gamma_ratio
 
 __all__ = [
     "SpectralPoint",
@@ -57,11 +57,12 @@ class SpectralPoint:
 
     @staticmethod
     def parse_side(side) -> int:
-        """Side as +1 or -1; the strings "+" and "-" are accepted."""
+        """Side as +1 or -1; the strings "+" and "-" are accepted.  Anything
+        else raises DomainError."""
         if isinstance(side, str):
-            side = {"+": 1, "-": -1}[side]
+            side = {"+": 1, "-": -1}.get(side, side)
         if side not in (1, -1):
-            raise ValueError("side must be +1 or -1")
+            raise DomainError(f"side must be +1 or -1, got {side!r}")
         return side
 
     @classmethod
@@ -119,7 +120,13 @@ def _solution(params: ModelParams, x, zeta, sign: int, regular: bool):
     with np.errstate(over="ignore", invalid="ignore"):
         pref = np.asarray(-sign * zeta, dtype=complex) * lc
         pref += (0.5 + params.mu) * np.log(th)
-        F *= np.exp(pref, out=pref)
+        np.exp(pref, out=pref)
+        # F e^pref piece by piece into new arrays: in place, a one-element complex
+        # product rounds differently, and a point would differ from its grid lane
+        out, e = F.reshape(-1), pref.reshape(-1)
+        for s in range(0, out.size, BLOCK_LANES):
+            out[s : s + BLOCK_LANES] = out[s : s + BLOCK_LANES] * e[s : s + BLOCK_LANES]
+        F = out.reshape(F.shape)
     if not np.isfinite(F).all():
         raise IllConditionedError(f"solution not finite in double precision (|zeta| up to {np.max(np.abs(zeta)):.6g})")
     return complex(F[0]) if scalar else F

@@ -10,10 +10,12 @@ same call surface.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import special as _sc
 
-from .errors import InvalidCError, NoConvergenceError, PoleError
+from .errors import DomainError, InvalidCError, NoConvergenceError, PoleError
 
 __all__ = [
     "log_gamma",
@@ -80,16 +82,21 @@ def pochhammer(q, n: int) -> complex:
 
 
 def _log_gamma_sum(numerators, denominators):
-    """Per element of the broadcast arguments: the log Gamma sum and the denominator-pole mask."""
+    """Per element of the broadcast arguments: the log Gamma sum, added in
+    argument order, and the denominator-pole mask, or None when no argument
+    can be a pole."""
     values, n_num = (*numerators, *denominators), len(numerators)
     args = np.empty((len(values),) + np.broadcast(*values).shape, dtype=complex)
     for i, v in enumerate(values):
         args[i] = v
-    # every pole of Gamma is real: an argument with an imaginary part is never one
-    poles = _nonpos_int(args, 1e-14) & (args.imag == 0)
-    zero = poles[n_num:].any(axis=0)
-    if np.any(poles[:n_num] & ~zero):
-        raise PoleError("gamma ratio: numerator at a pole of Gamma")
+    # every pole of Gamma is real and at most 0: only such arguments are rounded
+    poles = (args.imag == 0) & (args.real <= 0.5)
+    zero = None
+    if poles.any():
+        poles &= np.abs(args.real - np.round(args.real)) <= 1e-14
+        zero = poles[n_num:].any(axis=0)
+        if np.any(poles[:n_num] & ~zero):
+            raise PoleError("gamma ratio: numerator at a pole of Gamma")
     with np.errstate(all="ignore"):
         lg = _sc.loggamma(args)
         acc = np.zeros(lg.shape[1:], dtype=complex)
@@ -109,7 +116,7 @@ def log_gamma_ratio(numerators, denominators):
     pole raises PoleError.
     """
     acc, zero = _log_gamma_sum(numerators, denominators)
-    out = np.where(zero, -np.inf, acc)
+    out = acc if zero is None else np.where(zero, -np.inf, acc)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -118,7 +125,7 @@ def gamma_ratio(numerators, denominators):
     exp of log_gamma_ratio per element, with an exact zero at a pole."""
     acc, zero = _log_gamma_sum(numerators, denominators)
     with np.errstate(all="ignore"):
-        out = np.where(zero, 0.0, np.exp(acc))
+        out = np.exp(acc) if zero is None else np.where(zero, 0.0, np.exp(acc))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -131,7 +138,7 @@ def bessel_script_J(mu: float, x) -> float | np.ndarray:
     """Half-line Bessel kernel sqrt(pi*x/2) * J_mu(x) for mu >= 0, x > 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
-        raise ValueError("bessel_script_J requires x > 0")
+        raise DomainError("bessel_script_J requires x > 0")
     out = np.sqrt(np.pi * x / 2.0) * _sc.jv(mu, x)
     return float(out) if out.ndim == 0 else out
 
@@ -309,12 +316,16 @@ def _block(a, b, c, row, z, log_w):
     or b is a nonpositive integer, the raw series up to the threshold, and
     above it the connection formula or, grouped by integer gap m = c-a-b, the
     log form (m < 0 reduced by Euler's transformation).  Every test but the
-    threshold is made once per row."""
+    threshold is made once per row, from one integer test of c, a, b and
+    c-a-b; a nonpositive integer c raises InvalidCError."""
+    near, r = _near_int(np.array([c, a, b, c - a - b]))
+    nonpos = near & (r <= 0)
+    if np.count_nonzero(nonpos[0]):
+        raise InvalidCError("lower parameter c is a nonpositive integer")
     out = np.empty(z.shape, dtype=complex)
     poly = np.zeros(z.shape, dtype=bool)
-    ints = _nonpos_int(np.array([a, b]))
-    if np.count_nonzero(ints):
-        degree = np.where(ints, -np.round(np.stack([a.real, b.real])), np.inf).min(axis=0)
+    if np.count_nonzero(nonpos[1:3]):
+        degree = np.where(nonpos[1:3], -r[1:3], np.inf).min(axis=0)
         for d in np.unique(degree[degree <= MAX_TERMS]):
             s = (degree == d)[row]
             out[s] = _terminating_series(*_used_rows((a, b, c), row[s]), z[s], int(d))
@@ -325,7 +336,7 @@ def _block(a, b, c, row, z, log_w):
     high = ~poly & ~low
     if not np.count_nonzero(high):
         return out
-    gap, m = (v[row] for v in _near_int(c - a - b))
+    gap, m = near[3][row], r[3][row]
     s = high & ~gap
     if np.count_nonzero(s):
         out[s] = _linear_transform(*_used_rows((a, b, c), row[s]), np.exp(log_w[s]), log_w[s])
@@ -352,10 +363,12 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     so its value does not depend on the other lanes.  Lanes are evaluated in
     blocks of at most BLOCK_LANES, which bounds the temporaries: ranges of
     whole rows of the last axis, or equal pieces of a row longer than that.
-    When a, b and c are constant along the last axis (a (k, x) grid), the
-    core reads them once per row of that axis; otherwise once per lane.
-    ValueError, InvalidCError and NoConvergenceError are raised if any lane
-    incurs them.
+    When a, b and c are scalars, all lanes are one row; when they are
+    constant along the last axis (a (k, x) grid), the core reads them once
+    per row of that axis; otherwise once per lane.  Raises DomainError (a
+    ValueError) when some z lies outside [0, 1), InvalidCError when some c is
+    a nonpositive integer and NoConvergenceError when some series does not
+    converge.
 
     log_w, when given, is the exact natural log of 1-z.  Callers whose z comes
     from tanh(x)^2 or sech(x)^2 know log(1-z) analytically; passing it keeps
@@ -364,25 +377,24 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     """
     z = np.asarray(z, dtype=float)
     if log_w is None:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # z >= 1 fails the test below
             log_w = np.log1p(-z)
     log_w = np.asarray(log_w, dtype=float)
     # log_w only matters on the transformed branch; there it must witness z < 1
-    high_bad = (z > SERIES_THRESHOLD) & (~np.isfinite(log_w) | (log_w >= 0.0))
-    if np.any(z < 0.0) or np.any(high_bad):
-        raise ValueError("hyp2f1 argument must lie in [0, 1)")
+    if np.any((z < 0.0) | (z > SERIES_THRESHOLD) & ~(np.isfinite(log_w) & (log_w < 0.0))):
+        raise DomainError("hyp2f1 argument must lie in [0, 1)")
     a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
-    if np.any(_nonpos_int(c)):
-        raise InvalidCError("lower parameter c is a nonpositive integer")
-
-    views = np.broadcast_arrays(a, b, c, z, log_w)
-    shape = views[0].shape
-    views = np.atleast_2d(*views)
+    if a.ndim == b.ndim == c.ndim == 0:  # one row of all lanes
+        z, log_w = np.broadcast_arrays(z, log_w)
+        shape, views = z.shape, [v.reshape(1, -1) for v in (a, b, c, z, log_w)]
+    else:
+        views = np.broadcast_arrays(a, b, c, z, log_w)
+        shape, views = views[0].shape, np.atleast_2d(*views)
     # a row is the last axis when a, b and c are constant along it, else a lane
     by_row = all(v.shape[-1] == 1 or v.strides[-1] == 0 for v in views[:3])
-    out = np.empty(views[0].shape, dtype=complex)
+    out = np.empty(views[3].shape, dtype=complex)
     *lead, cols = out.shape
-    table = out.reshape(int(np.prod(lead)), cols)
+    table = out.reshape(math.prod(lead), cols)
     # only the block is copied out of the broadcast views, never a whole view;
     # a row longer than a block is cut into equal pieces
     width = max(cols, 1)
@@ -395,7 +407,7 @@ def hyp2f1_values(a, b, c, z, log_w=None):
         for s in range(0, cols, cut):
             part = table[r : r + step, s : s + cut]
             lanes = (*at, slice(s, s + cut))
-            first = (*at, slice(s, s + 1)) if by_row else lanes  # the parameters of each row: its first lane
+            first = (*at, slice(0, 1)) if by_row else lanes  # the parameters of each row: its first lane
             row = np.arange(part.size) // (part.shape[1] if by_row else 1)
             params = [v[first].reshape(-1) for v in views[:3]]
             part[...] = _block(*params, row, *(v[lanes].reshape(-1) for v in views[3:])).reshape(part.shape)

@@ -10,7 +10,7 @@ from scipy.special import eval_jacobi
 from .errors import AtEigenvalueError
 from .model import ModelParams, classify_beta
 from .solutions import SpectralPoint, _check_x, _log_cosh, eval_L, eval_M, wronskian
-from .specfun import _nonpos_int, gamma_ratio
+from .specfun import _nonpos_int, _used_rows, gamma_ratio
 
 __all__ = [
     "BoundStateLevel",
@@ -64,9 +64,9 @@ def resolvent_kernel(params: ModelParams, pt: SpectralPoint, x, y):
     if not pt.is_boundary and _nonpos_int(params.beta + pt.zeta / 2.0):
         raise AtEigenvalueError(f"Wronskian vanishes at zeta = {pt.zeta}")
     pts, ix, iy, shape = _union(x, y)
-    lo, lo_at = np.unique(np.minimum(ix, iy), return_inverse=True)
-    hi, hi_at = np.unique(np.maximum(ix, iy), return_inverse=True)
-    return _shaped(-eval_L(params, pts[lo], pt)[lo_at] * eval_M(params, pts[hi], pt)[hi_at] / w, shape)
+    lo, lo_at = _used_rows((pts,), np.minimum(ix, iy))  # the points that are some min, in order
+    hi, hi_at = _used_rows((pts,), np.maximum(ix, iy))
+    return _shaped(-eval_L(params, lo, pt)[lo_at] * eval_M(params, hi, pt)[hi_at] / w, shape)
 
 
 def resolvent_boundary_kernel(params: ModelParams, k: float, side, x, y):

@@ -161,6 +161,8 @@ def test_negative_value_after_flag(tmp_path, capsys, argv):
     rc, text = run(tmp_path, *argv)
     if "-1.5+0.5j" in argv:  # the parsed zeta reaches the domain check, which names it
         assert capsys.readouterr().err == "error: interior spectral point needs Re(zeta) > 0, got (-1.5+0.5j)\n"
+    elif argv[-2:] == ["--z", "-1e-3"]:  # the parsed z reaches the 2F1 domain check
+        assert capsys.readouterr().err == "error: hyp2f1 argument must lie in [0, 1)\n"
     else:
         assert rc != EXIT_USAGE
     assert (rc, text) == run(tmp_path, *joined)
@@ -198,6 +200,8 @@ def test_numerical_failure_exits_3(tmp_path):
         ["density", "--k", "1", "--x", "0:1:3", "--y", "1"],
         ["kernel", "--kind", "boundary", "--k", "-1", "--x", "1", "--y", "1"],
         ["kernel", "--zeta", "-1+0j", "--x", "1", "--y", "1"],
+        ["eval-2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "1.5"],
+        ["eval-2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "1"],
     ],
 )
 def test_out_of_domain_argument_exits_2(capsys, argv):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_first, fd_second, ode_residual
-from halfscatter.errors import IllConditionedError, InvalidCError, PoleError
+from halfscatter.errors import DomainError, IllConditionedError, InvalidCError, PoleError
 from halfscatter.model import ModelParams
 from halfscatter.oracle import integrate_decaying, integrate_regular
 from halfscatter.solutions import (
@@ -32,6 +32,14 @@ def test_spectral_point_validation():
     pt = SpectralPoint.boundary(2.0, "+")
     assert pt.zeta == -2j and pt.side == 1
     assert SpectralPoint.boundary(2.0, "-").zeta == 2j
+
+
+@pytest.mark.parametrize("side", ["x", 0, 2.0])
+def test_bad_side_raises_domain_error(side):
+    with pytest.raises(DomainError):
+        SpectralPoint.parse_side(side)
+    with pytest.raises(DomainError):
+        SpectralPoint.boundary(1.0, side)
 
 
 def test_solution_out_of_double_range_raises():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfscatter.errors import InvalidCError, NoConvergenceError, PoleError
+from halfscatter.errors import DomainError, InvalidCError, NoConvergenceError, PoleError
 from halfscatter.specfun import (
     BLOCK_LANES,
     SERIES_THRESHOLD,
@@ -208,10 +208,9 @@ def test_2f1_invalid_c():
 
 
 def test_2f1_rejects_bad_argument():
-    with pytest.raises(ValueError):
-        gauss_2f1(0.5, 0.5, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        gauss_2f1(0.5, 0.5, 1.0, -0.2)
+    for z in (1.0, -0.2, 1.5):
+        with pytest.raises(DomainError):
+            gauss_2f1(0.5, 0.5, 1.0, z)
 
 
 def test_series_no_convergence_cap():
@@ -477,6 +476,12 @@ def test_bessel_j0_series_oracle():
         term *= -0.25 / ((m + 1) ** 2)
     expect = math.sqrt(math.pi / 2.0) * acc
     assert abs(bessel_script_J(0.0, 1.0) - expect) < 1e-13
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, np.array([0.5, 0.0])])
+def test_bessel_nonpositive_argument_raises_domain_error(x):
+    with pytest.raises(DomainError):
+        bessel_script_J(0.5, x)
 
 
 def test_bessel_small_argument_power():

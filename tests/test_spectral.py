@@ -10,7 +10,7 @@ from halfscatter.index import verify_index
 from halfscatter.model import ModelParams, classify_beta, potential
 from halfscatter.oracle import count_bound_states_shooting, greens_function_oracle
 from halfscatter.scattering import fourier_kernel, quadrature_panels
-from halfscatter.solutions import SpectralPoint
+from halfscatter.solutions import SpectralPoint, eval_L, eval_M, eval_N
 from halfscatter.spectral import (
     bound_states,
     eigenfunction,
@@ -64,6 +64,22 @@ def test_array_kernels_equal_scalar_calls():
                 one = scalar(float(x), float(y))
                 assert isinstance(one, complex)
                 assert abs(grid[i, j] - one) <= 1e-14 * abs(one)
+
+
+@pytest.mark.parametrize("mu, nu", [(0.6, 2.1), (1.0, 2.0), (0.0, 3.0)])
+def test_one_point_equals_its_grid_lane(mu, nu):
+    # bitwise: a point alone takes the arithmetic of its lane in a grid; x spans
+    # both sides of the 2F1 series threshold in tanh^2 x and in sech^2 x
+    p = ModelParams(mu, nu)
+    xs = np.linspace(0.2, 3.0, 12)
+    for pt in (SpectralPoint.interior(1.3 + 0.4j), SpectralPoint.boundary(1.4, +1), SpectralPoint.boundary(1.4, -1)):
+        for f in (eval_L, eval_M, eval_N):
+            grid = f(p, xs, pt)
+            assert [f(p, x, pt) for x in xs] == list(grid)
+        grid = resolvent_kernel(p, pt, xs[:, None], xs)
+        assert [[resolvent_kernel(p, pt, x, y) for y in xs] for x in xs] == grid.tolist()
+    grid = spectral_density_kernel(p, 1.4, xs[:, None], xs)
+    assert [[spectral_density_kernel(p, 1.4, x, y) for y in xs] for x in xs] == grid.tolist()
 
 
 def test_resolvent_at_eigenvalue_raises_from_array_path():
