@@ -107,9 +107,9 @@ def parse_complex(text: str) -> complex:
 
 
 def _config_argv(path: str) -> list[str]:
-    """The JSON object in path as --name=value tokens (k_max and k-max both give
-    --k-max), for the parser to read after the command line: a config value
-    overrides its flag and passes the flag's own checks."""
+    """The JSON object in path as --name=value tokens (mu_grid and mu-grid both
+    give --mu-grid), for the parser to read after the command line: a config
+    value overrides its flag and passes the flag's own checks."""
     try:
         with open(path, encoding="utf-8") as fh:
             overrides = json.load(fh)
@@ -207,7 +207,7 @@ def cmd_winding(args) -> int:
         "nu": p.nu,
         "omega": list(omega),
         "winding_closed": float(sum(omega)),
-        "winding_numeric": index_mod.winding_numeric(p, args.k_max, args.s_max),
+        "winding_numeric": index_mod.winding_numeric(p),
     }
     _write_text(args.out, _json_dump(payload) + "\n")
     return EXIT_OK
@@ -219,7 +219,7 @@ def cmd_verify_index(args) -> int:
     reports = []
     for mu in mus:
         for nu in nus:
-            reports.append(index_mod.verify_index(ModelParams(float(mu), float(nu)), args.k_max, args.s_max))
+            reports.append(index_mod.verify_index(ModelParams(float(mu), float(nu))))
     payload = [r.to_json_dict() for r in reports]
     _write_text(args.out, _json_dump(payload) + "\n")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
@@ -334,16 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("winding", help="winding contributions for one parameter pair")
     common(sp)
-    sp.add_argument("--k-max", type=_finite_float, default=index_mod.K_EDGE_DEFAULT)
-    sp.add_argument("--s-max", type=_finite_float, default=index_mod.S_MAX_DEFAULT)
     sp.set_defaults(func=cmd_winding)
 
     sp = sub.add_parser("verify-index", help="index-theorem verification over a grid")
     common(sp)
     sp.add_argument("--mu-grid", type=parse_range, default=None, help="mu range start:stop:count")
     sp.add_argument("--nu-grid", type=parse_range, default=None, help="nu range start:stop:count")
-    sp.add_argument("--k-max", type=_finite_float, default=index_mod.K_EDGE_DEFAULT)
-    sp.add_argument("--s-max", type=_finite_float, default=index_mod.S_MAX_DEFAULT)
     sp.set_defaults(func=cmd_verify_index)
 
     sp = sub.add_parser("oracle-check", help="closed forms vs ODE oracle discrepancy table")

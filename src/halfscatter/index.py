@@ -11,7 +11,7 @@ the elementary zero-energy edge, and adds analytic tail corrections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,8 +35,8 @@ __all__ = [
 
 # Edge truncations: there each tail phase left for mu, nu <= 50 is below 0.05
 # rad, far inside the pi a principal tail correction resolves.
-K_EDGE_DEFAULT = 1e6
-S_MAX_DEFAULT = 1e6
+K_EDGE = 1e6
+S_MAX = 1e6
 _K_START = 1e-9  # start of the scattering edge, where sigma is near sigma_at_zero
 _INDEX_TOL = 1e-6  # largest |winding - count| verify_index passes
 
@@ -80,20 +80,20 @@ class EdgeFunction:
     log_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def square_edges(params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: float = S_MAX_DEFAULT):
-    """The four truncated edges in clockwise traversal order."""
+def square_edges(params: ModelParams):
+    """The four edges, truncated at K_EDGE and S_MAX, in clockwise traversal order."""
     mu = params.mu
     sig0 = complex(sigma_at_zero(params))
     sig_inf = complex(np.exp(-1j * np.pi * (mu - 0.5)))
     lam1_start = 1.0 + 0.0j  # analytic limit at s = -inf, both beta classes
     lam1_end = sig0  # corner continuity: Lambda1(+inf) = sigma(0)
     return (
-        EdgeFunction(1, lambda s: lambda1(params, s), -s_max, s_max, lam1_start, lam1_end),
-        EdgeFunction(2, lambda k: sigma(params, k), _K_START, k_max, sig0, sig_inf, lambda k: log_sigma(params, k)),
+        EdgeFunction(1, lambda s: lambda1(params, s), -S_MAX, S_MAX, lam1_start, lam1_end),
+        EdgeFunction(2, lambda k: sigma(params, k), _K_START, K_EDGE, sig0, sig_inf, lambda k: log_sigma(params, k)),
         EdgeFunction(
-            3, lambda s: lambda3_theta(mu, s), s_max, -s_max, sig_inf, 1.0 + 0.0j, lambda s: _log_lambda3_theta(mu, s)
+            3, lambda s: lambda3_theta(mu, s), S_MAX, -S_MAX, sig_inf, 1.0 + 0.0j, lambda s: _log_lambda3_theta(mu, s)
         ),
-        EdgeFunction(4, lambda k: np.ones(np.asarray(k).shape, dtype=complex), k_max, 0.0, 1.0 + 0.0j, 1.0 + 0.0j),
+        EdgeFunction(4, lambda k: np.ones(np.asarray(k).shape, dtype=complex), K_EDGE, 0.0, 1.0 + 0.0j, 1.0 + 0.0j),
     )
 
 
@@ -115,7 +115,7 @@ def winding_contributions(params: ModelParams):
     return (w1, w2, w3, w4)
 
 
-def winding_numeric(params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: float = S_MAX_DEFAULT) -> float:
+def winding_numeric(params: ModelParams) -> float:
     """Winding number from the truncated edges plus analytic tail corrections.
 
     An edge with a log takes its phase change from the log's imaginary part,
@@ -123,7 +123,7 @@ def winding_numeric(params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: f
     turns by pi within |s| < 2 and is unwrapped from its endpoints.
     """
     total = 0.0
-    for edge in square_edges(params, k_max, s_max):
+    for edge in square_edges(params):
         ends = (edge.t_start, edge.t_end)
         if edge.log_evaluator is not None:
             start, end = edge.log_evaluator(np.array(ends))
@@ -149,27 +149,16 @@ class IndexReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "nu": self.nu,
-            "beta_class": {
-                "kind": self.beta_class.kind,
-                "n": self.beta_class.n,
-                "epsilon": self.beta_class.epsilon,
-            },
-            "omega": list(self.omega),
-            "winding_closed": self.winding_closed,
-            "winding_numeric": self.winding_numeric,
-            "bound_count": self.bound_count,
-            "pass": self.passed,
-        }
+        d = asdict(self) | {"omega": list(self.omega)}  # fields in order; passed is written "pass"
+        d["pass"] = d.pop("passed")
+        return d
 
 
-def verify_index(params: ModelParams, k_max: float = K_EDGE_DEFAULT, s_max: float = S_MAX_DEFAULT) -> IndexReport:
+def verify_index(params: ModelParams) -> IndexReport:
     """Check closed-form winding, numeric winding, and bound-state count agree."""
     omega = winding_contributions(params)
     closed = float(sum(omega))
-    numeric = winding_numeric(params, k_max, s_max)
+    numeric = winding_numeric(params)
     count = bound_states(params).count
     passed = abs(closed - count) < _INDEX_TOL and abs(numeric - count) < _INDEX_TOL
     return IndexReport(

@@ -226,9 +226,11 @@ def wave_operator_apply(params: ModelParams, side, f: SampledFunction) -> Sample
     """Stationary wave operator action W_side f = (F^side)* (sine transform of f).
 
     The k-integration is truncated at K_CUTOFF_DEFAULT on unit panels of
-    WAVE_NODES_PER_PANEL nodes; for smooth compactly supported f the sine
-    transform decays rapidly, so the truncation error is negligible well
-    before the documented O(1/K_CUTOFF_DEFAULT) bound.
+    WAVE_NODES_PER_PANEL nodes.  That cutoff is not negligible: at the same
+    K = 40, the forward transform of W_- f for a smooth bump at
+    (mu, nu) = (0, 3) has a last-32-node tail/norm of 1.7e-3, and its
+    QuadratureWarning fires (the S = sigma(sqrt H) check of the acceptance
+    tests).
     """
     kk, kw = quadrature_panels(0.0, K_CUTOFF_DEFAULT, 1.0, WAVE_NODES_PER_PANEL)
     g = sine_transform(f, SampledFunction(grid=kk, values=np.zeros_like(kk), weights=kw))

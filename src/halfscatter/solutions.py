@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import eval_jacobi
 
 from .errors import DomainError, IllConditionedError, InvalidCError, PoleError
 from .model import ModelParams
-from .specfun import BLOCK_LANES, _near_int, gamma_ratio, hyp2f1_values, log_gamma_ratio
+from .specfun import _INT_TOL, BLOCK_LANES, _near_int, gamma_ratio, hyp2f1_values, log_gamma_ratio
 
 __all__ = [
     "SpectralPoint",
@@ -94,10 +95,17 @@ def _check_x(x):
     return x
 
 
+def _not_finite(zeta):
+    return IllConditionedError(f"solution not finite in double precision (|zeta| up to {np.max(np.abs(zeta)):.6g})")
+
+
 def _solution(params: ModelParams, x, zeta, sign: int, regular: bool):
     """Shared closed form (tanh x)^(1/2+mu) (cosh x)^(-sign zeta) F(alpha + sign zeta/2,
     beta + sign zeta/2; c; .), with F in tanh^2 x (regular: c = 1+mu) or in
     sech^2 x (c = 1 + sign zeta).  x and zeta broadcast against each other.
+    For M at a scalar zeta where b = beta + zeta/2 = -n, F is
+    n!/(1+zeta)_n P_n^(zeta, mu)(1 - 2 sech^2 x) (DLMF 15.9.1): the Jacobi
+    polynomial does not cancel near x = 0 as the sum in sech^2 x does.
     A value that is not finite raises IllConditionedError.
     """
     x = _check_x(x)
@@ -107,15 +115,23 @@ def _solution(params: ModelParams, x, zeta, sign: int, regular: bool):
     b = params.beta + sign * zeta / 2.0
     th = np.tanh(x)
     lc = _log_cosh(x)
-    if regular:
-        F = hyp2f1_values(a, b, 1.0 + params.mu, th**2, log_w=-2.0 * lc)
-    else:
-        # hyp2f1_values tests c once; the error names zeta
-        try:
+    # M at a bound state: b = -n within the 2F1 core's 1e-12, tested on plain floats
+    finite_m = sign > 0 and not regular and np.ndim(zeta) == 0 and abs(b.real) < np.inf
+    n = -round(b.real) if finite_m else -1
+    jacobi = n >= 0 and abs(b.imag) <= _INT_TOL and abs(b.real + n) <= _INT_TOL
+    try:
+        if regular:
+            F = hyp2f1_values(a, b, 1.0 + params.mu, th**2, log_w=-2.0 * lc)
+        elif jacobi:
+            scale = gamma_ratio((n + 1.0, 1.0 + zeta), (n + 1.0 + zeta,))  # n!/(1+zeta)_n
+            F = scale * eval_jacobi(n, complex(zeta).real, params.mu, 1.0 - 2.0 * np.exp(-2.0 * lc))
+        else:
             F = hyp2f1_values(a, b, 1.0 + sign * zeta, np.exp(-2.0 * lc), log_w=2.0 * np.log(th))
-        except InvalidCError:
-            msg = f"c = 1 + {sign} zeta is a nonpositive integer at zeta = {zeta}; perturb zeta"
-            raise InvalidCError(msg) from None
+    except InvalidCError:  # only c = 1 + sign zeta can be a nonpositive integer; the error names zeta
+        msg = f"c = 1 + {sign} zeta is a nonpositive integer at zeta = {zeta}; perturb zeta"
+        raise InvalidCError(msg) from None
+    except IllConditionedError:
+        raise _not_finite(zeta) from None
     # in place: on a (k, x) grid these are the largest arrays in the package
     with np.errstate(over="ignore", invalid="ignore"):
         pref = np.asarray(-sign * zeta, dtype=complex) * lc
@@ -128,7 +144,7 @@ def _solution(params: ModelParams, x, zeta, sign: int, regular: bool):
             out[s : s + BLOCK_LANES] = out[s : s + BLOCK_LANES] * e[s : s + BLOCK_LANES]
         F = out.reshape(F.shape)
     if not np.isfinite(F).all():
-        raise IllConditionedError(f"solution not finite in double precision (|zeta| up to {np.max(np.abs(zeta)):.6g})")
+        raise _not_finite(zeta)
     return complex(F[0]) if scalar else F
 
 
@@ -138,7 +154,10 @@ def eval_L(params: ModelParams, x, pt: SpectralPoint):
 
 
 def eval_M(params: ModelParams, x, pt: SpectralPoint):
-    """Decaying solution, M(x) = 2^zeta e^(-zeta x) (1 + O(e^(-2x))) at infinity."""
+    """Decaying solution, M(x) = 2^zeta e^(-zeta x) (1 + O(e^(-2x))) at infinity.
+
+    At a bound state zeta_n its 2F1 is a Jacobi polynomial in 1 - 2 sech^2 x.
+    """
     return _solution(params, x, pt.zeta, +1, regular=False)
 
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy import special as _sc
 
-from .errors import DomainError, InvalidCError, NoConvergenceError, PoleError
+from .errors import DomainError, IllConditionedError, InvalidCError, NoConvergenceError, PoleError
 
 __all__ = [
     "log_gamma",
@@ -311,6 +311,7 @@ def _log_case(a, b, c, row, w, log_w, m):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past double range is inf or nan in its lane
 def _block(a, b, c, row, z, log_w):
     """One block of lanes, each sent to its branch: the terminating sum when a
     or b is a nonpositive integer, the raw series up to the threshold, and
@@ -367,8 +368,9 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     constant along the last axis (a (k, x) grid), the core reads them once
     per row of that axis; otherwise once per lane.  Raises DomainError (a
     ValueError) when some z lies outside [0, 1), InvalidCError when some c is
-    a nonpositive integer and NoConvergenceError when some series does not
-    converge.
+    a nonpositive integer, NoConvergenceError when some series does not
+    converge and IllConditionedError, with no RuntimeWarning, when some value
+    is not finite in double precision.
 
     log_w, when given, is the exact natural log of 1-z.  Callers whose z comes
     from tanh(x)^2 or sech(x)^2 know log(1-z) analytically; passing it keeps
@@ -411,6 +413,8 @@ def hyp2f1_values(a, b, c, z, log_w=None):
             row = np.arange(part.size) // (part.shape[1] if by_row else 1)
             params = [v[first].reshape(-1) for v in views[:3]]
             part[...] = _block(*params, row, *(v[lanes].reshape(-1) for v in views[3:])).reshape(part.shape)
+    if not np.isfinite(out).all():
+        raise IllConditionedError("hyp2f1 value not finite in double precision")
     out = out.reshape(shape)
     return out[()] if out.ndim == 0 else out
 

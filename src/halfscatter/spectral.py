@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_jacobi
 
 from .errors import AtEigenvalueError
 from .model import ModelParams, classify_beta
-from .solutions import SpectralPoint, _check_x, _log_cosh, eval_L, eval_M, wronskian
+from .solutions import SpectralPoint, eval_L, eval_M, wronskian
 from .specfun import _nonpos_int, _used_rows, gamma_ratio
 
 __all__ = [
@@ -132,29 +131,17 @@ def wronskian_roots(params: ModelParams) -> list[float]:
 def eigenfunction(params: ModelParams, n: int, normalized: bool = False):
     """Bound-state profile as a callable x -> real value, decaying like e^(-zeta_n x).
 
-    The profile is M at zeta_n, whose 2F1 terminates: with t = sech^2 x,
-    F(nu-n, -n; 1+zeta_n; t) = n!/(1+zeta_n)_n P_n^(zeta_n, mu)(1-2t)
-    (DLMF 15.9.1).  The Jacobi polynomial is evaluated in 1-2t, so it does
-    not cancel where t is near 1, as the sum in t does.  Unnormalized by
-    default (no normalization is canonical here); pass normalized=True for
-    unit L2 norm, from the closed form ||M||^2 = [n!/(1+zeta_n)_n]^2
-    Gamma(n+zeta_n+1) Gamma(n+mu+1) / (2 n! zeta_n Gamma(n+zeta_n+mu+1)).
+    The profile is M at zeta_n (eval_M), whose 2F1 terminates as a Jacobi
+    polynomial.  Unnormalized by default (no normalization is canonical
+    here); pass normalized=True for unit L2 norm, from the closed form
+    ||M||^2 = n! Gamma(1+zeta_n)^2 Gamma(n+mu+1) / (2 zeta_n Gamma(n+zeta_n+1) Gamma(n+zeta_n+mu+1)).
     """
     report = bound_states(params)
     if not 0 <= n < report.count:
         raise IndexError(f"eigenfunction index {n} out of range (count = {report.count})")
     zeta_n, mu = report.levels[n].zeta, params.mu
-    if normalized:  # the factor n!/(1+zeta_n)_n cancels
-        norm_sq = gamma_ratio((n + zeta_n + 1.0, n + mu + 1.0), (n + 1.0, n + zeta_n + mu + 1.0)).real / (2.0 * zeta_n)
-        scale = 1.0 / np.sqrt(norm_sq)
-    else:
-        scale = gamma_ratio((n + 1.0, 1.0 + zeta_n), (n + 1.0 + zeta_n,)).real
-
-    def profile(x):
-        x = _check_x(x)
-        lc = _log_cosh(x)
-        pref = np.exp((0.5 + mu) * np.log(np.tanh(x)) - zeta_n * lc)
-        val = scale * pref * eval_jacobi(n, zeta_n, mu, 1.0 - 2.0 * np.exp(-2.0 * lc))
-        return float(val) if np.ndim(val) == 0 else val
-
-    return profile
+    pt, scale = SpectralPoint.interior(zeta_n), 1.0
+    if normalized:
+        num, den = (n + 1.0, 1.0 + zeta_n, 1.0 + zeta_n, n + mu + 1.0), (n + zeta_n + 1.0, n + zeta_n + mu + 1.0)
+        scale = 1.0 / np.sqrt(gamma_ratio(num, den).real / (2.0 * zeta_n))
+    return lambda x: scale * eval_M(params, x, pt).real

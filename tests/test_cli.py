@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +101,11 @@ def test_verify_index_grid(tmp_path):
     assert all(r["pass"] for r in reports)
 
 
-def test_verify_index_fails_with_bad_truncation(tmp_path):
-    # k_max far too small: the tail correction picks the wrong branch and the
+def test_verify_index_fails_with_bad_truncation(tmp_path, monkeypatch):
+    # K_EDGE far too small: the tail correction picks the wrong branch and the
     # numeric winding misses the count
-    rc, text = run(tmp_path, "verify-index", "--mu", "0", "--nu", "5", "--k-max", "0.2")
+    monkeypatch.setattr("halfscatter.index.K_EDGE", 0.2)
+    rc, text = run(tmp_path, "verify-index", "--mu", "0", "--nu", "5")
     assert rc == EXIT_VERIFY_FAIL
     reports = json.loads(text)
     assert reports[0]["pass"] is False
@@ -128,9 +130,9 @@ def test_non_finite_parameter_writes_no_rows(tmp_path):
         ["sigma", "--mu", "0", "--nu", "3", "--k", "nan"],
         ["sigma", "--mu", "0", "--nu", "3", "--k", "0:inf:3"],
         ["kernel", "--mu", "1", "--nu", "2", "--zeta", "nan+1j", "--x", "1", "--y", "2"],
-        ["winding", "--mu", "0", "--nu", "3", "--k-max", "nan"],
-        ["winding", "--mu", "0", "--nu", "3", "--s-max", "inf"],
-        ["verify-index", "--mu", "1", "--nu", "4", "--k-max", "inf"],
+        ["winding", "--mu", "nan", "--nu", "3"],
+        ["winding", "--mu", "0", "--nu", "inf"],
+        ["verify-index", "--mu", "1", "--nu-grid", "0:inf:3"],
         ["kernel", "--mu", "1", "--nu", "2", "--kind", "boundary", "--k", "nan", "--x", "1", "--y", "2"],
         ["eval-2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "nan"],
         ["eval-2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "-1e400"],
@@ -168,7 +170,7 @@ def test_negative_value_after_flag(tmp_path, capsys, argv):
     assert (rc, text) == run(tmp_path, *joined)
 
 
-@pytest.mark.parametrize("override", ['{"k_max": NaN}', '{"s_max": Infinity}', '{"mu": NaN}', '{"nu": [1]}'])
+@pytest.mark.parametrize("override", ['{"nu": Infinity}', '{"mu": -Infinity}', '{"mu": NaN}', '{"nu": [1]}'])
 def test_non_finite_config_value_exits_2(tmp_path, override):
     # json reads NaN and Infinity; a --config value passes the same check as its flag
     cfg = tmp_path / "cfg.json"
@@ -180,6 +182,12 @@ def test_non_finite_config_value_exits_2(tmp_path, override):
 
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_edge_truncation_is_not_a_flag(capsys):
+    # K_EDGE and S_MAX are constants of halfscatter.index
+    assert main(["winding", "--mu", "0", "--nu", "3", "--k-max", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_numerical_failure_exits_3(tmp_path):
@@ -214,13 +222,19 @@ def test_out_of_domain_argument_exits_2(capsys, argv):
 
 
 def test_solution_out_of_double_range_exits_3(capsys):
-    # L(3) at zeta = 300 overflows: a typed error, not rows of nan
-    argv = ["kernel", "--mu", "0", "--nu", "3", "--kind", "resolvent", "--zeta", "300", "--x", "3:3.2:2", "--y", "3.1"]
-    rc = main(argv)
-    captured = capsys.readouterr()
-    assert rc == EXIT_NUMERIC
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
+    # L(3) at zeta = 300 overflows, as does F(300, 300; 1.5; 0.999): a typed
+    # error with no RuntimeWarning, not rows of nan
+    for argv in [
+        ["kernel", "--mu", "0", "--nu", "3", "--kind", "resolvent", "--zeta", "300", "--x", "3:3.2:2", "--y", "3.1"],
+        ["eval-2f1", "--a", "300", "--b", "300", "--c", "1.5", "--z", "0.999"],
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == EXIT_NUMERIC
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_density_and_kernel_row_order(tmp_path):

@@ -43,11 +43,17 @@ def test_bad_side_raises_domain_error(side):
 
 
 def test_solution_out_of_double_range_raises():
-    # (tanh 20)^(1/2) (cosh 20)^(50+10i) F overflows: a typed error, with no RuntimeWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(IllConditionedError):
-            eval_L(ModelParams(0, 3), 20.0, SpectralPoint.interior(50 + 10j))
+    # (tanh 20)^(1/2) (cosh 20)^(50+10i) F overflows, and |M| is about 4e394 at
+    # (50, 3), x = 1e-8: a typed error, with no RuntimeWarning
+    cases = [
+        (eval_L, ModelParams(0, 3), 20.0, 50 + 10j),
+        (eval_M, ModelParams(50, 3), 1e-8, 1.5 + 0.5j),
+    ]
+    for evaluate, p, x, zeta in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError):
+                evaluate(p, x, SpectralPoint.interior(zeta))
 
 
 def test_free_boundary_solution_is_sine():

@@ -272,12 +272,13 @@ def test_eigenfunction_normalized_against_mpmath(mu, nu, n):
 @pytest.mark.parametrize("n", [10, 17, 20])
 def test_eigenfunction_profile_against_mpmath(n):
     # at nu = 45 the terminating 2F1 of M cancels as a sum in sech^2 x near x = 0;
-    # the Jacobi polynomial in 1 - 2 sech^2 x does not
+    # the Jacobi polynomial in 1 - 2 sech^2 x does not, in eigenfunction and in eval_M
     mp = pytest.importorskip("mpmath")
     p = ModelParams(2.0, 45.0)
     zeta = bound_states(p).levels[n].zeta
     x = np.linspace(0.01, 6.0, 601)
     got = eigenfunction(p, n)(x)
+    m = eval_M(p, x, SpectralPoint.interior(zeta))
     with mp.workdps(50):
         a, b, z = mp.mpf(p.alpha) + zeta / 2, mp.mpf(p.beta) + zeta / 2, mp.mpf(zeta)
         ref = np.array([
@@ -285,6 +286,7 @@ def test_eigenfunction_profile_against_mpmath(n):
             for t in map(mp.mpf, x)
         ])
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_eigenfunction_orthogonal_to_continuum():
