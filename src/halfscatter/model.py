@@ -11,9 +11,17 @@ from .errors import DomainError, ParityError
 
 __all__ = ["ModelParams", "BetaClass", "potential", "reduce_group_indices", "classify_beta"]
 
-#: |beta - round(beta)| below this counts as an exact integer; user-supplied
-#: parameters must honor exact integers without float-noise misclassification.
+#: |v - round(v)| below this counts as an exact integer (beta, the 2F1 parameters,
+#: the bound-state test): user-supplied integers survive float noise.
 BETA_INT_TOL = 1e-12
+
+
+def _positive(what: str, v):
+    """v as a float (or float array) if every entry is finite and > 0, else DomainError naming what."""
+    v = np.asarray(v, dtype=float)
+    if not ((v > 0) & (v < np.inf)).all():
+        raise DomainError(f"{what} must be finite and > 0")
+    return float(v) if v.ndim == 0 else v
 
 
 @dataclass(frozen=True)
@@ -65,10 +73,8 @@ def classify_beta(params: ModelParams) -> BetaClass:
 
 
 def potential(params: ModelParams, x):
-    """Potential value (mu^2-1/4)/(sinh^2 x cosh^2 x) + (mu^2-nu^2)/cosh^2 x."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("potential requires x > 0")
+    """Potential value (mu^2-1/4)/(sinh^2 x cosh^2 x) + (mu^2-nu^2)/cosh^2 x, finite x > 0."""
+    x = _positive("x", x)
     sh, ch = np.sinh(x), np.cosh(x)
     out = (params.mu**2 - 0.25) / (sh * ch) ** 2 + (params.mu**2 - params.nu**2) / ch**2
     return float(out) if out.ndim == 0 else out

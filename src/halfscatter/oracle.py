@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, IllConditionedError, StepFailureError
-from .model import ModelParams
+from .model import ModelParams, _positive
 from .solutions import SpectralPoint
 
 __all__ = [
@@ -112,11 +112,12 @@ def integrate_regular(params: ModelParams, energy, x1: float, tol: float = _DEFA
     """Integrate -u'' + V u = E u outward over (X0_FINE, x1) from regular data
     u(X0_FINE) = X0_FINE^(1/2+mu).
 
-    Only the leading power feeds the initial data; its relative error is of
-    order X0_FINE^(2+2mu), at most the default tolerance.
+    Only the leading power feeds the initial data; its relative error is of order X0_FINE^(2+2mu),
+    at most the default tolerance.  DomainError unless energy, x1 > X0_FINE and tol > 0 are finite.
     """
-    if x1 <= X0_FINE:
-        raise DomainError(f"need x1 > X0_FINE = {X0_FINE:g}")
+    if not np.isfinite(energy):
+        raise DomainError(f"energy must be finite, got {energy}")
+    _positive("x1 - X0_FINE and tol", [x1 - X0_FINE, tol])
     u0, du0 = _regular_data(params, X0_FINE)
     return _integrate(params, energy, (X0_FINE, x1), u0, du0, tol)
 
@@ -127,8 +128,9 @@ def integrate_decaying(params: ModelParams, pt: SpectralPoint, x_low: float) -> 
     Backward integration keeps the decaying solution clean: the unwanted
     growing mode dies in the reversed direction.  The solution grows like
     e^(Re zeta (X_FAR - x)) on the way in; raises IllConditionedError when that
-    would leave double range.
+    would leave double range.  x_low must be finite and > 0 (DomainError).
     """
+    _positive("x_low", x_low)
     zeta = complex(pt.zeta)
     if zeta.real * (X_FAR - x_low) > _MAX_LOG_GROWTH:
         raise IllConditionedError(
@@ -144,10 +146,9 @@ def extract_sigma(params: ModelParams, k: float) -> complex:
     corrections of relative order e^(-2x); the outgoing/incoming ratio -A/B
     is the scattering function.  The fit carries each wave's first
     correction, e^(+/-ikx) e^(-2(x-lo)), as a column of its own, so what is
-    left on the window is of order e^(-4x).
+    left on the window is of order e^(-4x).  k must be finite and > 0 (DomainError).
     """
-    if k <= 0:
-        raise DomainError("extract_sigma requires k > 0")
+    _positive("k", k)
     lo, hi = FIT_WINDOW
     sol = integrate_regular(params, energy=k * k, x1=hi)
     xs = np.linspace(lo, hi, 64)
@@ -185,8 +186,9 @@ def greens_function_oracle(params: ModelParams, pt: SpectralPoint, x: float, y: 
     """Resolvent kernel rebuilt from two integrated solutions.
 
     -(regular at min)(decaying at max) / numerical Wronskian; the arbitrary
-    normalizations of the two integrations cancel.
+    normalizations of the two integrations cancel.  x, y must be finite and > 0 (DomainError).
     """
+    _positive("x and y", [x, y])
     lo, hi = min(x, y), max(x, y)
     zeta = complex(pt.zeta)
     dec = integrate_decaying(params, pt, x_low=lo * 0.5)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnwrapError
+from .errors import DomainError, UnwrapError
 
 __all__ = ["refine_path", "unwrap_on_nodes", "edge_phase_change"]
 
@@ -26,7 +26,7 @@ def refine_path(fn, t_nodes):
     """
     ts = [float(t) for t in t_nodes]
     if len(ts) < 2:
-        raise ValueError("need at least two path nodes")
+        raise DomainError("need at least two path nodes")
     vs = list(np.asarray(fn(np.asarray(ts)), dtype=complex))
     is_node = [True] * len(ts)
     while True:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureWarning
-from .model import ModelParams, classify_beta
+from .model import ModelParams, _positive, classify_beta
 from .solutions import SpectralPoint, eval_L, eval_N, wronskian
 from .specfun import beta_fn, log_gamma_ratio
 
@@ -43,18 +43,16 @@ WAVE_NODES_PER_PANEL = 16  # Gauss-Legendre nodes per unit k-panel of wave_opera
 
 
 def log_sigma(params: ModelParams, k):
-    """Log of sigma(k), k > 0: 2i Im of its numerator gammas' log sum, as the
-    denominator gammas are their conjugates.  No gamma argument meets the
-    negative real axis, so the phase is continuous in k."""
-    k = np.asarray(k, dtype=float)
-    if np.any(k <= 0):
-        raise DomainError("sigma requires k > 0 (use sigma_at_zero for the endpoint)")
+    """Log of sigma(k), finite k > 0 (sigma_at_zero gives k = 0): 2i Im of its numerator
+    gammas' log sum, as the denominator gammas are their conjugates.  No gamma
+    argument meets the negative real axis, so the phase is continuous in k."""
+    k = _positive("k (sigma_at_zero gives k = 0)", k)
     ik2 = 0.5j * k
     return 2j * log_gamma_ratio((params.alpha - ik2, params.beta - ik2, 1.0 + ik2, 0.5 + ik2), ()).imag
 
 
 def sigma(params: ModelParams, k):
-    """Unimodular scattering function, a four-gamma product ratio; k > 0."""
+    """Unimodular scattering function, a four-gamma product ratio; finite k > 0."""
     out = np.exp(log_sigma(params, k))
     return complex(out) if out.ndim == 0 else out
 
@@ -98,9 +96,8 @@ def script_F(params: ModelParams, x, k: float):
 
 
 def b_factor(params: ModelParams, k: float) -> complex:
-    """High-energy normalization factor; tends to 1 as k grows."""
-    if k <= 0:
-        raise DomainError("b_factor requires k > 0")
+    """High-energy normalization factor at finite k > 0; tends to 1 as k grows."""
+    _positive("k", k)
     bb = beta_fn(params.beta - 0.5j * k, params.alpha - params.mu - 0.5j * k)
     return complex(
         np.sqrt(k) * bb / (np.exp(0.25j * np.pi) * np.exp(1j * k * np.log(2.0)) * np.sqrt(2.0 * np.pi))
@@ -108,9 +105,8 @@ def b_factor(params: ModelParams, k: float) -> complex:
 
 
 def dilation_scaled_kernel(params: ModelParams, eps: float, x, k: float):
-    """Rescaled minus kernel at (eps*x, k/eps), interpolating Bessel and plane-wave limits."""
-    if eps <= 0:
-        raise DomainError("dilation scale eps must be positive")
+    """Rescaled minus kernel at (eps*x, k/eps), finite eps > 0, interpolating Bessel and plane-wave limits."""
+    _positive("dilation scale eps", eps)
     return fourier_kernel(params, -1, np.asarray(x, dtype=float) * eps, k / eps)
 
 
@@ -120,7 +116,7 @@ def dilation_scaled_kernel(params: ModelParams, eps: float, x, k: float):
 
 @dataclass
 class SampledFunction:
-    """Function samples on a strictly increasing grid with quadrature weights."""
+    """Samples on a finite, strictly increasing grid with finite weights > 0 (else DomainError)."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -130,17 +126,18 @@ class SampledFunction:
         self.grid = np.asarray(self.grid, dtype=float)
         self.values = np.asarray(self.values)
         self.weights = np.asarray(self.weights, dtype=float)
-        if not np.all(np.diff(self.grid) > 0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
+        if not np.isfinite(self.grid).all():
+            raise DomainError("grid must be finite")
+        _positive("grid steps", np.diff(self.grid))  # strictly increasing
+        _positive("quadrature weights", self.weights)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
 
 
 def quadrature_panels(a: float, b: float, panel_width: float, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on (a, b]."""
+    """Composite Gauss-Legendre nodes and weights on (a, b], for finite a < b (else DomainError)."""
+    _positive("b - a, panel_width and nodes_per_panel", [b - a, panel_width, nodes_per_panel])
     n_panels = int(np.ceil((b - a) / panel_width))
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_panel)
     nodes, weights = [], []

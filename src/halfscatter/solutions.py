@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import eval_jacobi
 
 from .errors import DomainError, IllConditionedError, InvalidCError, PoleError
-from .model import ModelParams
-from .specfun import _INT_TOL, BLOCK_LANES, _near_int, gamma_ratio, hyp2f1_values, log_gamma_ratio
+from .model import BETA_INT_TOL, ModelParams, _positive
+from .specfun import BLOCK_LANES, _near_int, gamma_ratio, hyp2f1_values, log_gamma_ratio
 
 __all__ = [
     "SpectralPoint",
@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """Spectral parameter: interior zeta with Re zeta > 0, or boundary -/+ ik.
+    """Spectral parameter: interior zeta (finite, Re zeta > 0), or boundary -/+ ik (finite k > 0).
 
     Sign convention: side +1 is the limit from the upper spectral half-plane
     and corresponds to zeta = -ik; side -1 to zeta = +ik.  A boundary point
@@ -52,6 +52,8 @@ class SpectralPoint:
     @classmethod
     def interior(cls, zeta) -> "SpectralPoint":
         zeta = complex(zeta)
+        if not np.isfinite(zeta):
+            raise DomainError(f"interior spectral point needs a finite zeta, got {zeta}")
         if zeta.real <= 0:
             raise DomainError(f"interior spectral point needs Re(zeta) > 0, got {zeta}")
         return cls(zeta=zeta)
@@ -69,9 +71,7 @@ class SpectralPoint:
     @classmethod
     def boundary(cls, k, side) -> "SpectralPoint":
         side = cls.parse_side(side)
-        k = float(k) if np.ndim(k) == 0 else np.asarray(k, dtype=float)
-        if np.any(k <= 0):
-            raise DomainError(f"boundary spectral point needs k > 0, got {k}")
+        k = _positive("k", k)
         return cls(zeta=-1j * side * k, k=k, side=side)
 
 
@@ -88,11 +88,11 @@ def _log_cosh(x):
     return x - np.log(2.0) + np.log1p(np.exp(-2.0 * x))
 
 
-def _check_x(x):
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("solutions are defined for x > 0")
-    return x
+def _bound_state(params: ModelParams, zeta) -> int:
+    """n >= 0 if beta + zeta/2 = -n within BETA_INT_TOL at a scalar zeta (a bound state), else -1."""
+    b = params.beta + zeta / 2.0
+    n = -round(b.real) if np.ndim(b) == 0 and abs(b.real) < np.inf else -1
+    return n if n >= 0 and abs(b.imag) <= BETA_INT_TOL and abs(b.real + n) <= BETA_INT_TOL else -1
 
 
 def _not_finite(zeta):
@@ -106,23 +106,20 @@ def _solution(params: ModelParams, x, zeta, sign: int, regular: bool):
     For M at a scalar zeta where b = beta + zeta/2 = -n, F is
     n!/(1+zeta)_n P_n^(zeta, mu)(1 - 2 sech^2 x) (DLMF 15.9.1): the Jacobi
     polynomial does not cancel near x = 0 as the sum in sech^2 x does.
-    A value that is not finite raises IllConditionedError.
+    An x that is not finite and > 0 raises DomainError; a value that is not finite, IllConditionedError.
     """
-    x = _check_x(x)
-    scalar = x.ndim == 0 and np.ndim(zeta) == 0
+    x = _positive("x", x)
+    scalar = np.ndim(x) == 0 and np.ndim(zeta) == 0
     x = np.atleast_1d(x)
     a = params.alpha + sign * zeta / 2.0
     b = params.beta + sign * zeta / 2.0
     th = np.tanh(x)
     lc = _log_cosh(x)
-    # M at a bound state: b = -n within the 2F1 core's 1e-12, tested on plain floats
-    finite_m = sign > 0 and not regular and np.ndim(zeta) == 0 and abs(b.real) < np.inf
-    n = -round(b.real) if finite_m else -1
-    jacobi = n >= 0 and abs(b.imag) <= _INT_TOL and abs(b.real + n) <= _INT_TOL
+    n = _bound_state(params, zeta) if sign > 0 and not regular else -1  # M at a bound state
     try:
         if regular:
             F = hyp2f1_values(a, b, 1.0 + params.mu, th**2, log_w=-2.0 * lc)
-        elif jacobi:
+        elif n >= 0:
             scale = gamma_ratio((n + 1.0, 1.0 + zeta), (n + 1.0 + zeta,))  # n!/(1+zeta)_n
             F = scale * eval_jacobi(n, complex(zeta).real, params.mu, 1.0 - 2.0 * np.exp(-2.0 * lc))
         else:

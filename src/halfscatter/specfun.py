@@ -16,6 +16,7 @@ import numpy as np
 from scipy import special as _sc
 
 from .errors import DomainError, IllConditionedError, InvalidCError, NoConvergenceError, PoleError
+from .model import BETA_INT_TOL, _positive
 
 __all__ = [
     "log_gamma",
@@ -40,21 +41,23 @@ MAX_TERMS = 20000
 BLOCK_LANES = 8192
 _CHUNK_TERMS = 16  # series terms per lane between two stop tests
 _TERM_TOL = 1e-16
-_INT_TOL = 1e-12
+_POLE_TOL = 1e-14  # distance from an integer <= 0 at which a real argument is a pole of Gamma
 _MIRROR_TOL = 4 * np.finfo(float).eps  # conjugate-pair test of _linear_transform, relative to |a| + |b|
 
 
-def _near_int(z, tol=_INT_TOL):
-    """Per lane: the mask of z within tol of an integer (complex-aware), and that integer."""
+def _near_int(z):
+    """Per lane: the mask of z within BETA_INT_TOL of an integer (complex-aware), and that integer."""
     z = np.asarray(z, dtype=complex)
     r = np.round(z.real)
-    return (np.abs(z.imag) <= tol) & (np.abs(z.real - r) <= tol), r
+    return (np.abs(z.imag) <= BETA_INT_TOL) & (np.abs(z.real - r) <= BETA_INT_TOL), r
 
 
-def _nonpos_int(z, tol=_INT_TOL):
-    """Per lane: the mask of z within tol of a nonpositive integer."""
-    near, r = _near_int(z, tol)
-    return near & (r <= 0)
+def _gamma_poles(z):
+    """Mask of z at poles of Gamma (real, within _POLE_TOL of an integer <= 0), or None if none can be."""
+    poles = (z.imag == 0) & (z.real <= 0.5)
+    if not poles.any():
+        return None
+    return poles & (np.abs(z.real - np.round(z.real)) <= _POLE_TOL)
 
 
 def log_gamma(z) -> complex:
@@ -64,16 +67,16 @@ def log_gamma(z) -> complex:
 
 def digamma(z) -> complex:
     """Logarithmic derivative of Gamma; raises PoleError at nonpositive integers."""
-    # every pole of Gamma is real, as in _log_gamma_sum
-    if _nonpos_int(z, 1e-14) and complex(z).imag == 0:
+    poles = _gamma_poles(np.asarray(z, dtype=complex))
+    if poles is not None and poles:
         raise PoleError(f"digamma pole at z = {z}")
     return complex(_sc.psi(complex(z)))
 
 
 def pochhammer(q, n: int) -> complex:
-    """Rising factorial (q)_n = q (q+1) ... (q+n-1), with (q)_0 = 1."""
-    if n < 0 or n != int(n):
-        raise ValueError("pochhammer order must be a nonnegative integer")
+    """Rising factorial (q)_n = q (q+1) ... (q+n-1), (q)_0 = 1, for an integer n >= 0 (else DomainError)."""
+    if not (n >= 0 and float(n).is_integer()):
+        raise DomainError("pochhammer order must be a nonnegative integer")
     out = 1.0 + 0.0j
     q = complex(q)
     for j in range(int(n)):
@@ -89,11 +92,8 @@ def _log_gamma_sum(numerators, denominators):
     args = np.empty((len(values),) + np.broadcast(*values).shape, dtype=complex)
     for i, v in enumerate(values):
         args[i] = v
-    # every pole of Gamma is real and at most 0: only such arguments are rounded
-    poles = (args.imag == 0) & (args.real <= 0.5)
-    zero = None
-    if poles.any():
-        poles &= np.abs(args.real - np.round(args.real)) <= 1e-14
+    poles, zero = _gamma_poles(args), None
+    if poles is not None:
         zero = poles[n_num:].any(axis=0)
         if np.any(poles[:n_num] & ~zero):
             raise PoleError("gamma ratio: numerator at a pole of Gamma")
@@ -135,10 +135,8 @@ def beta_fn(a, b) -> complex:
 
 
 def bessel_script_J(mu: float, x) -> float | np.ndarray:
-    """Half-line Bessel kernel sqrt(pi*x/2) * J_mu(x) for mu >= 0, x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("bessel_script_J requires x > 0")
+    """Half-line Bessel kernel sqrt(pi*x/2) * J_mu(x) for mu >= 0, finite x > 0."""
+    x = _positive("x", x)
     out = np.sqrt(np.pi * x / 2.0) * _sc.jv(mu, x)
     return float(out) if out.ndim == 0 else out
 
@@ -382,8 +380,8 @@ def hyp2f1_values(a, b, c, z, log_w=None):
         with np.errstate(divide="ignore", invalid="ignore"):  # z >= 1 fails the test below
             log_w = np.log1p(-z)
     log_w = np.asarray(log_w, dtype=float)
-    # log_w only matters on the transformed branch; there it must witness z < 1
-    if np.any((z < 0.0) | (z > SERIES_THRESHOLD) & ~(np.isfinite(log_w) & (log_w < 0.0))):
+    # log_w only matters on the transformed branch, where it must witness z < 1; NaN fails the test
+    if not ((z >= 0.0) & ((z <= SERIES_THRESHOLD) | ((log_w < 0.0) & (log_w > -np.inf)))).all():
         raise DomainError("hyp2f1 argument must lie in [0, 1)")
     a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
     if a.ndim == b.ndim == c.ndim == 0:  # one row of all lanes

@@ -8,8 +8,8 @@ import numpy as np
 
 from .errors import AtEigenvalueError
 from .model import ModelParams, classify_beta
-from .solutions import SpectralPoint, eval_L, eval_M, wronskian
-from .specfun import _nonpos_int, _used_rows, gamma_ratio
+from .solutions import SpectralPoint, _bound_state, eval_L, eval_M, wronskian
+from .specfun import _used_rows, gamma_ratio
 
 __all__ = [
     "BoundStateLevel",
@@ -60,7 +60,7 @@ def resolvent_kernel(params: ModelParams, pt: SpectralPoint, x, y):
     Wronskian never vanishes for k > 0.
     """
     w = wronskian(params, pt)
-    if not pt.is_boundary and _nonpos_int(params.beta + pt.zeta / 2.0):
+    if not pt.is_boundary and _bound_state(params, pt.zeta) >= 0:
         raise AtEigenvalueError(f"Wronskian vanishes at zeta = {pt.zeta}")
     pts, ix, iy, shape = _union(x, y)
     lo, lo_at = _used_rows((pts,), np.minimum(ix, iy))  # the points that are some min, in order
@@ -93,11 +93,8 @@ def bound_states(params: ModelParams) -> BoundStateReport:
     with the winding."""
     t = params.nu - params.mu - 1.0
     count = classify_beta(params).n or 0
-    levels = []
-    for n in range(count):
-        zeta_n = t - 2.0 * n
-        levels.append(BoundStateLevel(n=n, zeta=zeta_n, energy=-(zeta_n**2)))
-    return BoundStateReport(count=count, levels=tuple(levels))
+    levels = tuple(BoundStateLevel(n=n, zeta=t - 2.0 * n, energy=-((t - 2.0 * n) ** 2)) for n in range(count))
+    return BoundStateReport(count=count, levels=levels)
 
 
 def wronskian_roots(params: ModelParams) -> list[float]:

@@ -1,12 +1,19 @@
-"""Parameter map, potential forms, and beta classification."""
+"""Parameter map, potential forms, beta classification, and the argument rule."""
+
+import signal
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from halfscatter import oracle, scattering
 from halfscatter.errors import DomainError, ParityError
 from halfscatter.model import ModelParams, classify_beta, potential, reduce_group_indices
+from halfscatter.phase import refine_path
+from halfscatter.solutions import SpectralPoint, eval_L, eval_M, eval_N
+from halfscatter.specfun import bessel_script_J, hyp2f1_values, pochhammer
 
 
 def integer_pair_potential(m, n, x):
@@ -82,6 +89,77 @@ def test_params_reject_negative():
 def test_params_reject_non_finite(mu, nu):
     with pytest.raises(DomainError):
         ModelParams(mu, nu)
+
+
+P = ModelParams(1.0, 2.0)
+PT = SpectralPoint.interior(1.5)
+NOT_POSITIVE = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+NOT_FINITE = [float("nan"), float("inf")]
+# each public entry point that takes a real argument that must be finite and > 0
+POSITIVE_ARGS = {
+    "potential(x)": lambda v: potential(P, v),
+    "eval_L(x)": lambda v: eval_L(P, v, PT),
+    "eval_M(x)": lambda v: eval_M(P, v, PT),
+    "eval_N(x)": lambda v: eval_N(P, np.array([1.0, v]), PT),
+    "boundary(k)": lambda v: SpectralPoint.boundary(v, 1),
+    "bessel_script_J(x)": lambda v: bessel_script_J(1.0, v),
+    "sigma(k)": lambda v: scattering.sigma(P, np.array([1.0, v])),
+    "log_sigma(k)": lambda v: scattering.log_sigma(P, v),
+    "b_factor(k)": lambda v: scattering.b_factor(P, v),
+    "dilation_scaled_kernel(eps)": lambda v: scattering.dilation_scaled_kernel(P, v, 1.0, 1.0),
+    "quadrature_panels(b)": lambda v: scattering.quadrature_panels(0.0, v, 1.0, 4),
+    "quadrature_panels(panel_width)": lambda v: scattering.quadrature_panels(0.0, 1.0, v, 4),
+    "extract_sigma(k)": lambda v: oracle.extract_sigma(P, v),
+    "integrate_regular(x1)": lambda v: oracle.integrate_regular(P, 1.0, v),
+    "integrate_regular(tol)": lambda v: oracle.integrate_regular(P, 1.0, 2.0, v),
+    "integrate_decaying(x_low)": lambda v: oracle.integrate_decaying(P, PT, v),
+    "greens_function_oracle(x)": lambda v: oracle.greens_function_oracle(P, PT, 1.0, v),
+    "greens_function_oracle(y)": lambda v: oracle.greens_function_oracle(P, PT, v, 1.0),
+}
+# arguments with a rule of their own, refused when not finite
+FINITE_ARGS = {
+    "interior(zeta)": SpectralPoint.interior,
+    "interior(Im zeta)": lambda v: SpectralPoint.interior(complex(1.0, v)),
+    "integrate_regular(energy)": lambda v: oracle.integrate_regular(P, v, 2.0),
+    "integrate_regular(Im energy)": lambda v: oracle.integrate_regular(P, complex(1.0, v), 2.0),
+    "SampledFunction(grid)": lambda v: scattering.SampledFunction(grid=[v], values=[0.0], weights=[1.0]),
+    "SampledFunction(weights)": lambda v: scattering.SampledFunction(grid=[1.0, 2.0], values=[0, 0], weights=[1, v]),
+    "pochhammer(n)": lambda v: pochhammer(1.0, v),
+}
+OTHER_CASES = {
+    "hyp2f1_values(z=nan)": lambda: hyp2f1_values(1, 1, 2, float("nan")),
+    "interior(complex('inf'))": lambda: SpectralPoint.interior(complex("inf")),
+    "boundary(nan, 1)": lambda: SpectralPoint.boundary(float("nan"), 1),
+    "quadrature_panels(b < a)": lambda: scattering.quadrature_panels(1.0, 0.0, 1.0, 4),
+    "quadrature_panels(0 nodes)": lambda: scattering.quadrature_panels(0.0, 1.0, 1.0, 0),
+    "pochhammer(n=-1)": lambda: pochhammer(1.0, -1),
+    "pochhammer(n=0.5)": lambda: pochhammer(1.0, 0.5),
+    "refine_path(one node)": lambda: refine_path(np.exp, [0.0]),
+}
+ARGUMENT_CASES = [
+    *(pytest.param(call, v, id=f"{name}={v}") for name, call in POSITIVE_ARGS.items() for v in NOT_POSITIVE),
+    *(pytest.param(call, v, id=f"{name}={v}") for name, call in FINITE_ARGS.items() for v in NOT_FINITE),
+    *(pytest.param(lambda v, call=call: call(), None, id=name) for name, call in OTHER_CASES.items()),
+]
+
+
+def _hung(signum, frame):
+    raise TimeoutError("call did not return within 5 s")
+
+
+@pytest.mark.parametrize("call, value", ARGUMENT_CASES)
+def test_argument_outside_domain_raises_domain_error(call, value):
+    # an alarm turns a hang (the ODE step loop on a NaN step) into a failure
+    old = signal.signal(signal.SIGALRM, _hung)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError):
+                call(value)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_classify_beta_examples():
