@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import BetaClass, ModelParams, classify_beta
+from .model import BetaClass, ModelParams, _finite, classify_beta
 from .phase import edge_phase_change
 from .scattering import log_sigma, sigma, sigma_at_zero
 from .specfun import log_gamma_ratio
@@ -43,25 +43,25 @@ _INDEX_TOL = 1e-6  # largest |winding - count| verify_index passes
 
 def lambda1(params: ModelParams, s):
     """Left edge (zero energy): -tanh(pi s) + i sech(pi s) when beta is a
-    nonpositive integer, constant 1 otherwise."""
-    s = np.asarray(s, dtype=float)
+    nonpositive integer, constant 1 otherwise.  s must be finite (DomainError)."""
+    s = _finite("s", s)
     if classify_beta(params).kind == "negative_integer":
         # exp(i (pi/2 + gd(pi s))), the Gudermannian gd(x) = 2 arctan(tanh(x/2)) free of overflow
         out = np.exp(1j * (0.5 * np.pi + 2.0 * np.arctan(np.tanh(0.5 * np.pi * s))))
     else:
-        out = np.ones(s.shape, dtype=complex)
+        out = np.ones(np.shape(s), dtype=complex)
     return complex(out) if out.ndim == 0 else out
 
 
 def _log_lambda3_theta(mu: float, s):
     """Log of lambda3_theta, purely imaginary and continuous in s: its
-    denominator gammas are the conjugates of its numerator gammas."""
-    is2 = 0.5j * np.asarray(s, dtype=float)
+    denominator gammas are the conjugates of its numerator gammas.  s must be finite (DomainError)."""
+    is2 = 0.5j * _finite("s", s)
     return 1j * (2.0 * log_gamma_ratio(((mu + 1.0) / 2.0 - is2, 0.75 + is2), ()).imag - 0.5 * np.pi * (mu - 0.5))
 
 
 def lambda3_theta(mu: float, s):
-    """Right edge (infinite energy): phase-shifted gamma-ratio dilation symbol."""
+    """Right edge (infinite energy): phase-shifted gamma-ratio dilation symbol, finite s."""
     out = np.exp(_log_lambda3_theta(mu, s))
     return complex(out) if out.ndim == 0 else out
 

@@ -24,6 +24,14 @@ def _positive(what: str, v):
     return float(v) if v.ndim == 0 else v
 
 
+def _finite(what: str, v):
+    """v as a float (or float array) if every entry is finite, else DomainError naming what."""
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise DomainError(f"{what} must be finite")
+    return float(v) if v.ndim == 0 else v
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameter pair (mu, nu) >= 0 with the derived exponents alpha, beta."""

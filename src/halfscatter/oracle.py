@@ -9,6 +9,7 @@ resolvent is rebuilt from two independently integrated solutions.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, IllConditionedError, StepFailureError
-from .model import ModelParams, _positive
+from .model import ModelParams, _positive, potential
 from .solutions import SpectralPoint
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
 ]
 
 _DEFAULT_TOL = 1e-10
-X_FAR = 30.0  # start of the inward integration of the decaying solution
 _MAX_LOG_GROWTH = 700.0  # log of the largest growth an integration may carry in double range
 # Start of every regular solve: the leading-power data there is good to
 # about X0_FINE^(2+2mu), the solve tolerance.
@@ -103,9 +103,25 @@ def _integrate(params, energy, span, u0, du0, tol, atol=None, events=None) -> Od
 
 
 def _regular_data(params: ModelParams, x0: float):
-    """(u, u') = (x0^(1/2+mu), its derivative): the leading power at the origin."""
+    """(u, u') = (x0^(1/2+mu), its derivative): the leading power at the origin.
+
+    IllConditionedError when u would underflow: from zero data scipy's step loop never ends.
+    """
     p = 0.5 + params.mu
+    if p * math.log(x0) < -_MAX_LOG_GROWTH:
+        raise IllConditionedError(f"regular data {x0:g}^(1/2+mu) underflows at mu = {params.mu:g}")
     return x0**p, p * x0 ** (p - 1.0)
+
+
+def _check_growth(what: str, params: ModelParams, energy: complex, log_growth: float, x_from: float, x_to: float):
+    """IllConditionedError when a solution that grows by e^log_growth from x_from to x_to,
+    or its second derivative there, |V(x_to) - E| times as large, would leave double range."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # V is inf or nan where sinh(x)^2 underflows
+        log_peak = log_growth + math.log1p(abs(potential(params, x_to) - energy))
+    if not log_peak <= _MAX_LOG_GROWTH:
+        raise IllConditionedError(
+            f"{what} with its second derivative grows to e^{log_peak:.4g} from x = {x_from:g} to {x_to:g}"
+        )
 
 
 def integrate_regular(params: ModelParams, energy, x1: float, tol: float = _DEFAULT_TOL) -> OdeSolution:
@@ -114,29 +130,38 @@ def integrate_regular(params: ModelParams, energy, x1: float, tol: float = _DEFA
 
     Only the leading power feeds the initial data; its relative error is of order X0_FINE^(2+2mu),
     at most the default tolerance.  DomainError unless energy, x1 > X0_FINE and tol > 0 are finite.
+    The solution grows like e^(Re sqrt(-E) x); raises IllConditionedError when it or its
+    second derivative would leave double range by x1.
     """
     if not np.isfinite(energy):
         raise DomainError(f"energy must be finite, got {energy}")
     _positive("x1 - X0_FINE and tol", [x1 - X0_FINE, tol])
+    _check_growth("regular solution", params, energy, cmath.sqrt(-complex(energy)).real * x1, X0_FINE, x1)
     u0, du0 = _regular_data(params, X0_FINE)
     return _integrate(params, energy, (X0_FINE, x1), u0, du0, tol)
 
 
 def integrate_decaying(params: ModelParams, pt: SpectralPoint, x_low: float) -> OdeSolution:
-    """Integrate inward from X_FAR with decaying data (1, -zeta), unit scale.
+    """Integrate inward to x_low with decaying data (1, -zeta), unit scale, from the start X
+    where that data is good to the solve tolerance, at least x_low + 1; the evaluator covers [x_low, X].
 
     Backward integration keeps the decaying solution clean: the unwanted
     growing mode dies in the reversed direction.  The solution grows like
-    e^(Re zeta (X_FAR - x)) on the way in; raises IllConditionedError when that
-    would leave double range.  x_low must be finite and > 0 (DomainError).
+    e^(Re zeta (X - x)) on the way in, and like tanh(x)^(1/2 - mu) near the
+    origin; raises IllConditionedError when it or its second derivative would
+    leave double range.  x_low must be finite and > 0 (DomainError).
     """
     _positive("x_low", x_low)
     zeta = complex(pt.zeta)
-    if zeta.real * (X_FAR - x_low) > _MAX_LOG_GROWTH:
-        raise IllConditionedError(
-            f"decaying solution grows by e^{zeta.real * (X_FAR - x_low):.4g} from x = {X_FAR:g} to {x_low:g}"
-        )
-    return _integrate(params, -(zeta**2), (X_FAR, x_low), 1.0, -zeta, _DEFAULT_TOL, _DEFAULT_TOL)
+    # The decaying solution is e^(-zeta x) (1 + a e^(-2x) + ...), a = (mu^2 - nu^2)/(zeta + 1), from
+    # V ~ 4 (mu^2 - nu^2) e^(-2x).  Start where the term the data drops is below the tolerance in u
+    # and, as a (1 + 2/zeta) e^(-2x), in u'/zeta; |a| floored at 1 (X >= 11.5) keeps e^(-4x) below it too.
+    lead = abs(params.mu**2 - params.nu**2) / abs(zeta + 1.0) * max(1.0, abs(1.0 + 2.0 / zeta))
+    x_start = max(x_low + 1.0, 0.5 * math.log(max(lead, 1.0) / _DEFAULT_TOL))
+    # e^(zeta (X - x)) far out, times tanh(x)^(1/2 - mu) near the origin
+    log_growth = zeta.real * (x_start - x_low) + max(params.mu - 0.5, 0.0) * -math.log(math.tanh(x_low))
+    _check_growth("decaying solution", params, -(zeta**2), log_growth, x_start, x_low)
+    return _integrate(params, -(zeta**2), (x_start, x_low), 1.0, -zeta, _DEFAULT_TOL, _DEFAULT_TOL)
 
 
 def extract_sigma(params: ModelParams, k: float) -> complex:
@@ -185,15 +210,19 @@ def count_bound_states_shooting(params: ModelParams) -> int:
 def greens_function_oracle(params: ModelParams, pt: SpectralPoint, x: float, y: float) -> complex:
     """Resolvent kernel rebuilt from two integrated solutions.
 
-    -(regular at min)(decaying at max) / numerical Wronskian; the arbitrary
-    normalizations of the two integrations cancel.  x, y must be finite and > 0 (DomainError).
+    -(regular at min)(decaying at max) / numerical Wronskian, formed from ratios as
+    -(u_r(lo)/u_r(hi)) / (u_d'/u_d - u_r'/u_r)(hi): the arbitrary normalizations of the
+    two integrations cancel, and no product of two large solutions is formed.  The
+    decaying solve runs down to max(x, y), the one point read from it.  Raises
+    IllConditionedError where either solve would leave double range.  x, y must be
+    finite and > 0 (DomainError).
     """
     _positive("x and y", [x, y])
     lo, hi = min(x, y), max(x, y)
     zeta = complex(pt.zeta)
-    dec = integrate_decaying(params, pt, x_low=lo * 0.5)
+    dec = integrate_decaying(params, pt, x_low=hi)
     reg = integrate_regular(params, energy=-(zeta**2), x1=hi)
     u_r, du_r = reg(hi)
     u_d, du_d = dec(hi)
     u_r_lo, _ = reg(lo)
-    return complex(-(u_r_lo * u_d) / (u_r * du_d - du_r * u_d))
+    return complex(-(u_r_lo / u_r) / (du_d / u_d - du_r / u_r))

@@ -138,7 +138,7 @@ class SampledFunction:
 def quadrature_panels(a: float, b: float, panel_width: float, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on (a, b], for finite a < b (else DomainError)."""
     _positive("b - a, panel_width and nodes_per_panel", [b - a, panel_width, nodes_per_panel])
-    n_panels = int(np.ceil((b - a) / panel_width))
+    n_panels = int(np.ceil(_positive("panel count (b - a)/panel_width", (b - a) / panel_width)))
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_panel)
     nodes, weights = [], []
     for j in range(n_panels):

@@ -57,3 +57,15 @@ def smooth_bump(x, a=1.0, b=3.0):
     t = (x[m] - a) / (b - a)
     out[m] = np.exp(-1.0 / (t * (1.0 - t)))
     return out
+
+
+def mp_resolvent(params, zeta, x, y):
+    """-L(min) M(max) / W from mpmath's 2F1 and gamma at 40 digits (skips without mpmath)."""
+    mp = pytest.importorskip("mpmath")
+    lo, hi = min(x, y), max(x, y)
+    with mp.workdps(40):
+        m, a, b, z = mp.mpf(params.mu), mp.mpf(params.alpha), mp.mpf(params.beta), mp.mpc(zeta)
+        reg = mp.tanh(lo) ** (m + 0.5) * mp.cosh(lo) ** z * mp.hyp2f1(a - z / 2, b - z / 2, 1 + m, mp.tanh(lo) ** 2)
+        dec = mp.tanh(hi) ** (m + 0.5) * mp.cosh(hi) ** -z * mp.hyp2f1(a + z / 2, b + z / 2, 1 + z, mp.sech(hi) ** 2)
+        w = -2 * mp.gamma(1 + m) * mp.gamma(1 + z) / (mp.gamma(a + z / 2) * mp.gamma(b + z / 2))
+        return complex(-reg * dec / w)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from halfscatter import oracle, scattering
+from halfscatter import index, oracle, scattering
 from halfscatter.errors import DomainError, ParityError
 from halfscatter.model import ModelParams, classify_beta, potential, reduce_group_indices
 from halfscatter.phase import refine_path
@@ -95,6 +95,7 @@ P = ModelParams(1.0, 2.0)
 PT = SpectralPoint.interior(1.5)
 NOT_POSITIVE = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
 NOT_FINITE = [float("nan"), float("inf")]
+NOT_FINITE_REAL = [*NOT_FINITE, -float("inf")]
 # each public entry point that takes a real argument that must be finite and > 0
 POSITIVE_ARGS = {
     "potential(x)": lambda v: potential(P, v),
@@ -126,12 +127,19 @@ FINITE_ARGS = {
     "SampledFunction(weights)": lambda v: scattering.SampledFunction(grid=[1.0, 2.0], values=[0, 0], weights=[1, v]),
     "pochhammer(n)": lambda v: pochhammer(1.0, v),
 }
+# real arguments valid at every finite value
+REAL_ARGS = {
+    "lambda1(s)": lambda v: index.lambda1(ModelParams(0.0, 3.0), v),
+    "lambda3_theta(s)": lambda v: index.lambda3_theta(1.0, v),
+}
 OTHER_CASES = {
     "hyp2f1_values(z=nan)": lambda: hyp2f1_values(1, 1, 2, float("nan")),
     "interior(complex('inf'))": lambda: SpectralPoint.interior(complex("inf")),
     "boundary(nan, 1)": lambda: SpectralPoint.boundary(float("nan"), 1),
     "quadrature_panels(b < a)": lambda: scattering.quadrature_panels(1.0, 0.0, 1.0, 4),
     "quadrature_panels(0 nodes)": lambda: scattering.quadrature_panels(0.0, 1.0, 1.0, 0),
+    # a width that passes the rule, but (b - a)/panel_width overflows to inf
+    "quadrature_panels(panel_width=1e-320)": lambda: scattering.quadrature_panels(0.0, 1.0, 1e-320, 4),
     "pochhammer(n=-1)": lambda: pochhammer(1.0, -1),
     "pochhammer(n=0.5)": lambda: pochhammer(1.0, 0.5),
     "refine_path(one node)": lambda: refine_path(np.exp, [0.0]),
@@ -139,6 +147,7 @@ OTHER_CASES = {
 ARGUMENT_CASES = [
     *(pytest.param(call, v, id=f"{name}={v}") for name, call in POSITIVE_ARGS.items() for v in NOT_POSITIVE),
     *(pytest.param(call, v, id=f"{name}={v}") for name, call in FINITE_ARGS.items() for v in NOT_FINITE),
+    *(pytest.param(call, v, id=f"{name}={v}") for name, call in REAL_ARGS.items() for v in NOT_FINITE_REAL),
     *(pytest.param(lambda v, call=call: call(), None, id=name) for name, call in OTHER_CASES.items()),
 ]
 

@@ -2,11 +2,13 @@
 extraction, node counting, and the rebuilt Green function."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
 
 import halfscatter.oracle as oracle_mod
+from conftest import mp_resolvent
 from halfscatter.errors import IllConditionedError
 from halfscatter.model import ModelParams
 from halfscatter.oracle import (
@@ -142,10 +144,75 @@ def test_greens_matches_resolvent_at_large_zeta():
 
 
 @pytest.mark.parametrize("zeta", [25 + 1j, 40.0])
-def test_greens_out_of_double_range_raises(zeta):
-    # the decaying solution grows by e^(Re zeta (x_far - x)) on the way in
+def test_greens_at_large_zeta_against_mpmath(zeta):
+    # a decaying solve from x = 30 grew past e^700 here; one from the start rule's x = 11.5 does not
+    p = ModelParams(1.0, 2.0)
+    g = greens_function_oracle(p, SpectralPoint.interior(zeta), 1.0, 2.0)
+    ref = mp_resolvent(p, zeta, 1.0, 2.0)
+    assert abs(g - ref) < 1e-8 * abs(ref)
+
+
+def test_greens_out_of_double_range_raises():
+    # the decaying solution grows by e^(100 (11.5 - 2)) from its start down to x = 2
     with pytest.raises(IllConditionedError):
-        greens_function_oracle(ModelParams(1.0, 2.0), SpectralPoint.interior(zeta), 1.0, 2.0)
+        greens_function_oracle(ModelParams(1.0, 2.0), SpectralPoint.interior(100.0), 1.0, 2.0)
+
+
+@pytest.mark.parametrize("x, y", [(1.0, 31.0), (1.0, 35.0), (20.0, 40.0)])
+def test_greens_beyond_x_30_against_mpmath(x, y):
+    # a decaying solve started at x = 30 was off here by 3.0e-4, 3.9e-2 and 2.5e-2
+    p, zeta = ModelParams(1.0, 2.0), 1.5 + 0.5j
+    g = greens_function_oracle(p, SpectralPoint.interior(zeta), x, y)
+    ref = mp_resolvent(p, zeta, x, y)
+    assert abs(g - ref) < 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("mu, nu", [(1.0, 2.0), (3.0, 5.0), (20.0, 24.0), (1.0, 12.0)])
+@pytest.mark.parametrize("zeta", [1.5 + 0.5j, 23.7, 40.0, 63.0, 100.0])
+def test_greens_agrees_or_refuses_without_overflow(mu, nu, zeta):
+    # where a solve would leave double range the oracle refuses; a product of two
+    # large solutions, or a solution past e^700, overflowed with a RuntimeWarning
+    p = ModelParams(mu, nu)
+    served = 0
+    for x, y in [(1.0, 2.0), (0.5, 5.0), (3.0, 12.0), (20.0, 40.0)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                g = greens_function_oracle(p, SpectralPoint.interior(zeta), x, y)
+            except IllConditionedError:
+                continue
+        ref = mp_resolvent(p, zeta, x, y)
+        assert abs(g - ref) < 1e-8 * abs(ref), (x, y)
+        served += 1
+    assert served >= 1
+
+
+@pytest.mark.parametrize("mu, nu", [(0.0, 50.0), (50.0, 0.0), (20.0, 45.0), (1.0, 2.0), (2.0, 2.0)])
+@pytest.mark.parametrize("zeta", [1 + 0.3j, 3 + 1j])
+def test_decaying_start_agrees_with_a_far_start(mu, nu, zeta):
+    # the start rule's data (1, -zeta) is good to the solve tolerance: the solution
+    # equals the same equation started at x = 30, up to one constant
+    p = ModelParams(mu, nu)
+    dec = integrate_decaying(p, SpectralPoint.interior(zeta), x_low=0.5)
+    far = oracle_mod._integrate(p, -(zeta**2), (30.0, 0.5), 1.0, -zeta, 1e-10, 1e-10)
+    xs = np.linspace(0.5, 11.0, 43)
+    ratio = dec(xs)[0] / far(xs)[0]
+    assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate_regular(ModelParams(65.0, 2.0), -1.0, 2.0),
+        lambda: count_bound_states_shooting(ModelParams(110.0, 0.0)),
+    ],
+    ids=["integrate_regular(mu=65)", "count_bound_states_shooting(mu=110)"],
+)
+def test_regular_data_below_double_range_raises(call):
+    # x0^(1/2+mu) underflows to 0 here (x0 = 1e-5 and 1e-3); from zero data the
+    # solve warned "divide by zero" and then never returned
+    with pytest.raises(IllConditionedError):
+        call()
 
 
 def test_greens_symmetry():

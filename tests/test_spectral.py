@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import fd_second
+from conftest import fd_second, mp_resolvent
 from halfscatter.errors import AtEigenvalueError
 from halfscatter.index import verify_index
 from halfscatter.model import ModelParams, classify_beta, potential
@@ -90,14 +90,8 @@ def test_resolvent_at_eigenvalue_raises_from_array_path():
 @pytest.mark.parametrize("zeta", [20.0, 30.0])
 def test_resolvent_at_large_zeta_without_bound_states(zeta):
     # (1, 2) has no bound states, so the kernel exists for every zeta > 0
-    mp = pytest.importorskip("mpmath")
     p, x, y = ModelParams(1.0, 2.0), 1.0, 2.0
-    with mp.workdps(40):
-        m, a, b, z = mp.mpf(p.mu), mp.mpf(p.alpha), mp.mpf(p.beta), mp.mpf(zeta)
-        reg = mp.tanh(x) ** (m + 0.5) * mp.cosh(x) ** z * mp.hyp2f1(a - z / 2, b - z / 2, 1 + m, mp.tanh(x) ** 2)
-        dec = mp.tanh(y) ** (m + 0.5) * mp.cosh(y) ** -z * mp.hyp2f1(a + z / 2, b + z / 2, 1 + z, mp.sech(y) ** 2)
-        w = -2 * mp.gamma(1 + m) * mp.gamma(1 + z) / (mp.gamma(a + z / 2) * mp.gamma(b + z / 2))
-        ref = complex(-reg * dec / w)
+    ref = mp_resolvent(p, zeta, x, y)
     val = resolvent_kernel(p, SpectralPoint.interior(zeta), x, y)
     assert abs(val - ref) < 1e-12 * abs(ref)
 
