@@ -28,7 +28,6 @@ from .index import (
 )
 from .model import BetaClass, ModelParams, classify_beta, potential, reduce_group_indices
 from .oracle import (
-    OdeSolution,
     count_bound_states_shooting,
     extract_sigma,
     greens_function_oracle,

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,7 +19,6 @@ from .model import ModelParams, _positive, potential
 from .solutions import SpectralPoint
 
 __all__ = [
-    "OdeSolution",
     "integrate_regular",
     "extract_sigma",
     "count_bound_states_shooting",
@@ -30,8 +27,8 @@ __all__ = [
 
 _DEFAULT_TOL = 1e-10
 _MAX_LOG_GROWTH = 700.0  # log of the largest growth an integration may carry in double range
-# Start of every regular solve: the leading-power data there is good to
-# about X0_FINE^(2+2mu), the solve tolerance.
+# Start of every regular solve: the two-term data of _regular_data drops a term of
+# relative size about (c X0_FINE^2)^2 there, far below the solve tolerance for mu, nu <= 50.
 X0_FINE = 1e-5
 FIT_WINDOW = (8.0, 12.0)  # extract_sigma's plane-wave fit window
 # The shooting count: regular data at SHOOT_X0, nodes counted up to SHOOT_X_MAX.
@@ -40,32 +37,17 @@ SHOOT_X_MAX = 25.0
 SHOOT_TOL = 1e-8
 
 
-@dataclass
-class OdeSolution:
-    """Dense evaluator of an integrated solution, with the solve's event times."""
-
-    _dense: Callable
-    _events: list | None = None
-
-    def __call__(self, x):
-        """Evaluate (u, u') at x from the dense interpolant."""
-        y = self._dense(x)
-        return y[0] + 1j * y[1], y[2] + 1j * y[3]
-
-
-def _rhs_complex(params: ModelParams, energy: complex):
+def _rhs(params: ModelParams, energy):
     mu2 = params.mu**2
     c0 = mu2 - 0.25
     c1 = mu2 - params.nu**2
-    er, ei = energy.real, energy.imag
 
-    # y = (Re u, Im u, Re u', Im u'); u'' = (V - E) u split into real parts
+    # y = (u, u'); u'' = (V - E) u
     def rhs(x, y):
         sh = math.sinh(x)
         ch = math.cosh(x)
         v = c0 / (sh * ch) ** 2 + c1 / ch**2
-        ar = v - er
-        return (y[2], y[3], ar * y[0] + ei * y[1], ar * y[1] - ei * y[0])
+        return (y[1], (v - energy) * y[0])
 
     return rhs
 
@@ -78,39 +60,45 @@ def solve_ivp(*args, **kwargs):
     return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
-def _integrate(params, energy, span, u0, du0, tol, atol=None, events=None) -> OdeSolution:
+def _integrate(params, energy, span, u0, du0, tol, atol=None, events=None):
     """Integrate -u'' + V u = E u over span, forward or backward, from (u0, du0)
-    at span[0].
+    at span[0]; scipy's result, whose dense .sol(x) gives (u, u').
 
+    The state is real where energy and data are real, else complex.
     atol defaults to tol times the larger initial magnitude.
     """
     if atol is None:
         atol = tol * max(abs(u0), abs(du0))
-    u0, du0 = complex(u0), complex(du0)
-    sol = solve_ivp(
-        _rhs_complex(params, complex(energy)),
+    y0 = np.array([u0, du0], dtype=np.result_type(u0, du0, energy))
+    res = solve_ivp(
+        _rhs(params, energy),
         span,
-        (u0.real, u0.imag, du0.real, du0.imag),
+        y0,
         method="DOP853",
         rtol=tol,
         atol=atol,
         dense_output=True,
         events=events,
     )
-    if not sol.success:
-        raise StepFailureError(f"integration over {span} failed: {sol.message}")
-    return OdeSolution(sol.sol, sol.t_events)
+    if not res.success:
+        raise StepFailureError(f"integration over {span} failed: {res.message}")
+    return res
 
 
-def _regular_data(params: ModelParams, x0: float):
-    """(u, u') = (x0^(1/2+mu), its derivative): the leading power at the origin.
+def _regular_data(params: ModelParams, energy, x0: float):
+    """(u, u') at x0 from the first two Frobenius terms of the regular solution,
+    u = x^p (1 + c x^2) with p = 1/2 + mu and c = (V0 - E)/(4p + 2), where
+    V0 = mu^2 - nu^2 - (4/3)(mu^2 - 1/4) is V - (mu^2 - 1/4)/x^2 at the origin.
 
     IllConditionedError when u would underflow: from zero data scipy's step loop never ends.
     """
     p = 0.5 + params.mu
     if p * math.log(x0) < -_MAX_LOG_GROWTH:
         raise IllConditionedError(f"regular data {x0:g}^(1/2+mu) underflows at mu = {params.mu:g}")
-    return x0**p, p * x0 ** (p - 1.0)
+    mu2 = params.mu**2
+    v0 = mu2 - params.nu**2 - (4.0 / 3.0) * (mu2 - 0.25)
+    cx2 = (v0 - energy) / (4.0 * p + 2.0) * x0**2
+    return x0**p * (1.0 + cx2), x0 ** (p - 1.0) * (p + (p + 2.0) * cx2)
 
 
 def _check_growth(what: str, params: ModelParams, energy: complex, log_growth: float, x_from: float, x_to: float):
@@ -124,26 +112,29 @@ def _check_growth(what: str, params: ModelParams, energy: complex, log_growth: f
         )
 
 
-def integrate_regular(params: ModelParams, energy, x1: float, tol: float = _DEFAULT_TOL) -> OdeSolution:
+def integrate_regular(params: ModelParams, energy, x1: float, tol: float = _DEFAULT_TOL):
     """Integrate -u'' + V u = E u outward over (X0_FINE, x1) from regular data
-    u(X0_FINE) = X0_FINE^(1/2+mu).
+    u(X0_FINE) = X0_FINE^(1/2+mu) (1 + c X0_FINE^2), two Frobenius terms.
 
-    Only the leading power feeds the initial data; its relative error is of order X0_FINE^(2+2mu),
-    at most the default tolerance.  DomainError unless energy, x1 > X0_FINE and tol > 0 are finite.
-    The solution grows like e^(Re sqrt(-E) x); raises IllConditionedError when it or its
-    second derivative would leave double range by x1.
+    Returns the dense evaluator x -> (u(x), u'(x)) on [X0_FINE, x1]; the values are
+    real at a real energy and complex otherwise.  DomainError unless energy,
+    x1 > X0_FINE and tol > 0 are finite.  The solution grows like e^(Re sqrt(-E) x);
+    raises IllConditionedError when it or its second derivative would leave double
+    range by x1.
     """
     if not np.isfinite(energy):
         raise DomainError(f"energy must be finite, got {energy}")
     _positive("x1 - X0_FINE and tol", [x1 - X0_FINE, tol])
     _check_growth("regular solution", params, energy, cmath.sqrt(-complex(energy)).real * x1, X0_FINE, x1)
-    u0, du0 = _regular_data(params, X0_FINE)
-    return _integrate(params, energy, (X0_FINE, x1), u0, du0, tol)
+    u0, du0 = _regular_data(params, energy, X0_FINE)
+    return _integrate(params, energy, (X0_FINE, x1), u0, du0, tol).sol
 
 
-def integrate_decaying(params: ModelParams, pt: SpectralPoint, x_low: float) -> OdeSolution:
+def integrate_decaying(params: ModelParams, pt: SpectralPoint, x_low: float):
     """Integrate inward to x_low with decaying data (1, -zeta), unit scale, from the start X
-    where that data is good to the solve tolerance, at least x_low + 1; the evaluator covers [x_low, X].
+    where that data is good to the solve tolerance, at least x_low + 1.
+
+    Returns the dense evaluator x -> (u(x), u'(x)), complex, on [x_low, X].
 
     Backward integration keeps the decaying solution clean: the unwanted
     growing mode dies in the reversed direction.  The solution grows like
@@ -161,7 +152,7 @@ def integrate_decaying(params: ModelParams, pt: SpectralPoint, x_low: float) -> 
     # e^(zeta (X - x)) far out, times tanh(x)^(1/2 - mu) near the origin
     log_growth = zeta.real * (x_start - x_low) + max(params.mu - 0.5, 0.0) * -math.log(math.tanh(x_low))
     _check_growth("decaying solution", params, -(zeta**2), log_growth, x_start, x_low)
-    return _integrate(params, -(zeta**2), (x_start, x_low), 1.0, -zeta, _DEFAULT_TOL, _DEFAULT_TOL)
+    return _integrate(params, -(zeta**2), (x_start, x_low), 1.0, -zeta, _DEFAULT_TOL, _DEFAULT_TOL).sol
 
 
 def extract_sigma(params: ModelParams, k: float) -> complex:
@@ -199,12 +190,13 @@ def count_bound_states_shooting(params: ModelParams) -> int:
     """
 
     def node(x, y):
-        return y[0]
+        return y[0].real
 
-    u0, du0 = _regular_data(params, SHOOT_X0)
-    sol = _integrate(params, -1e-8, (SHOOT_X0, SHOOT_X_MAX), u0, du0, SHOOT_TOL, events=node)
-    u, du = sol(SHOOT_X_MAX)
-    return len(sol._events[0]) + int((u * du).real < 0)
+    energy = -1e-8
+    u0, du0 = _regular_data(params, energy, SHOOT_X0)
+    res = _integrate(params, energy, (SHOOT_X0, SHOOT_X_MAX), u0, du0, SHOOT_TOL, events=node)
+    u, du = res.y[:, -1]
+    return len(res.t_events[0]) + int((u * du).real < 0)
 
 
 def greens_function_oracle(params: ModelParams, pt: SpectralPoint, x: float, y: float) -> complex:

@@ -140,6 +140,8 @@ OTHER_CASES = {
     "quadrature_panels(0 nodes)": lambda: scattering.quadrature_panels(0.0, 1.0, 1.0, 0),
     # a width that passes the rule, but (b - a)/panel_width overflows to inf
     "quadrature_panels(panel_width=1e-320)": lambda: scattering.quadrature_panels(0.0, 1.0, 1e-320, 4),
+    # a finite panel count, 1e300, that would take endless panels
+    "quadrature_panels(panel_width=1e-300)": lambda: scattering.quadrature_panels(0.0, 1.0, 1e-300, 4),
     "pochhammer(n=-1)": lambda: pochhammer(1.0, -1),
     "pochhammer(n=0.5)": lambda: pochhammer(1.0, 0.5),
     "refine_path(one node)": lambda: refine_path(np.exp, [0.0]),

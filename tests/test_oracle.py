@@ -152,6 +152,21 @@ def test_greens_at_large_zeta_against_mpmath(zeta):
     assert abs(g - ref) < 1e-8 * abs(ref)
 
 
+def test_greens_in_the_deep_well_against_mpmath():
+    # regular data from the leading power alone, which drops a term of size nu^2 x0^2,
+    # left the oracle off by 3.1e-6 here
+    p, zeta = ModelParams(0.0, 50.0), 1.5 + 0.5j
+    g = greens_function_oracle(p, SpectralPoint.interior(zeta), 1.0, 2.0)
+    ref = mp_resolvent(p, zeta, 1.0, 2.0)
+    assert abs(g - ref) < 1e-6 * abs(ref)
+
+
+@pytest.mark.parametrize("energy, kind", [(1.44, "f"), (-1e-8, "f"), (-(1.5 + 0.5j) ** 2, "c")])
+def test_regular_solution_follows_the_dtype_of_its_energy(energy, kind):
+    u, du = integrate_regular(ModelParams(1.0, 2.0), energy, 3.0)(np.linspace(0.5, 3.0, 5))
+    assert u.dtype.kind == du.dtype.kind == kind
+
+
 def test_greens_out_of_double_range_raises():
     # the decaying solution grows by e^(100 (11.5 - 2)) from its start down to x = 2
     with pytest.raises(IllConditionedError):
@@ -194,7 +209,7 @@ def test_decaying_start_agrees_with_a_far_start(mu, nu, zeta):
     # equals the same equation started at x = 30, up to one constant
     p = ModelParams(mu, nu)
     dec = integrate_decaying(p, SpectralPoint.interior(zeta), x_low=0.5)
-    far = oracle_mod._integrate(p, -(zeta**2), (30.0, 0.5), 1.0, -zeta, 1e-10, 1e-10)
+    far = oracle_mod._integrate(p, -(zeta**2), (30.0, 0.5), 1.0, -zeta, 1e-10, 1e-10).sol
     xs = np.linspace(0.5, 11.0, 43)
     ratio = dec(xs)[0] / far(xs)[0]
     assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-8
