@@ -52,6 +52,7 @@ from .solutions import (
     ConnectionCoefficients,
     SpectralPoint,
     connection_coefficients,
+    eval_derivative,
     eval_L,
     eval_M,
     eval_N,

@@ -25,7 +25,7 @@ from .errors import DomainError, HalfScatterError
 from .model import ModelParams
 from .scattering import sigma as sigma_cf
 from .scattering import sigma_samples
-from .solutions import SpectralPoint, eval_L, eval_M, wronskian
+from .solutions import SpectralPoint, eval_derivative, eval_L, eval_M, wronskian
 from .spectral import bound_states, resolvent_kernel, spectral_density_kernel, wronskian_roots
 from .specfun import gauss_2f1
 
@@ -230,18 +230,14 @@ def cmd_oracle_check(args) -> int:
     pt = SpectralPoint.interior(args.zeta)
     rows = []
 
-    sol = oracle_mod.integrate_regular(p, energy=-(pt.zeta**2), x1=6.0, tol=1e-11)
     xs = np.linspace(0.5, 6.0, 24)
-    u, _ = sol(xs)
+    u, du = oracle_mod.integrate_regular(p, -(pt.zeta**2), np.append(xs, 2.0), tol=1e-11)
+    u, u1, du1 = u[:-1], u[-1], du[-1]
     lv = eval_L(p, xs, pt)
     const = np.vdot(lv, u) / np.vdot(lv, lv)
     rows.append(("regular_solution_vs_ode", float(np.max(np.abs(u - const * lv) / np.abs(u))), 1e-7))
 
-    u1, du1 = sol(2.0)
-    mpt = eval_M(p, 2.0, pt)
-    h = 1e-5
-    dm = (eval_M(p, 2.0 + h, pt) - eval_M(p, 2.0 - h, pt)) / (2 * h)
-    w_num = u1 * dm - du1 * mpt
+    w_num = u1 * eval_derivative(p, 2.0, pt, "M") - du1 * eval_M(p, 2.0, pt)
     w_cf = wronskian(p, pt) * const
     rows.append(("wronskian_vs_ode", float(abs(w_num - w_cf) / abs(w_cf)), 1e-6))
 

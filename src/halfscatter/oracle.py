@@ -60,9 +60,11 @@ def solve_ivp(*args, **kwargs):
     return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
-def _integrate(params, energy, span, u0, du0, tol, atol=None, events=None):
+def _integrate(params, energy, span, u0, du0, tol, atol=None, t_eval=None, events=None):
     """Integrate -u'' + V u = E u over span, forward or backward, from (u0, du0)
-    at span[0]; scipy's result, whose dense .sol(x) gives (u, u').
+    at span[0]; scipy's result.  Its y holds (u, u') at t_eval, or at each step when
+    t_eval is None.  scipy builds a step's interpolant only where that step holds a
+    point of t_eval or an event.
 
     The state is real where energy and data are real, else complex.
     atol defaults to tol times the larger initial magnitude.
@@ -75,14 +77,35 @@ def _integrate(params, energy, span, u0, du0, tol, atol=None, events=None):
         span,
         y0,
         method="DOP853",
+        t_eval=t_eval,
         rtol=tol,
         atol=atol,
-        dense_output=True,
         events=events,
     )
     if not res.success:
         raise StepFailureError(f"integration over {span} failed: {res.message}")
     return res
+
+
+def _at_points(params, energy, x_from, xs, u0, du0, tol, atol=None):
+    """(u, u') at the points xs, each in the shape of xs, from one solve that starts at
+    x_from with (u0, du0) and ends at the point of xs farthest from it.  Every point
+    lies on one side of x_from; points may come in any order and may repeat."""
+    grid, inv = np.unique(xs, return_inverse=True)
+    if grid[0] < x_from:  # inward: scipy wants t_eval in the direction of the solve
+        grid, inv = grid[::-1], grid.size - 1 - inv
+    res = _integrate(params, energy, (x_from, grid[-1]), u0, du0, tol, atol, t_eval=grid)
+    u, du = res.y[:, inv.reshape(np.shape(xs))]
+    return u, du
+
+
+def _points(what: str, xs, floor: float):
+    """xs as a float array of at least one point, each finite and > floor, else DomainError."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.size == 0:
+        raise DomainError(f"{what} must hold at least one point")
+    _positive(what, xs - floor)
+    return xs
 
 
 def _regular_data(params: ModelParams, energy, x0: float):
@@ -112,47 +135,53 @@ def _check_growth(what: str, params: ModelParams, energy: complex, log_growth: f
         )
 
 
-def integrate_regular(params: ModelParams, energy, x1: float, tol: float = _DEFAULT_TOL):
-    """Integrate -u'' + V u = E u outward over (X0_FINE, x1) from regular data
+def integrate_regular(params: ModelParams, energy, xs, tol: float = _DEFAULT_TOL):
+    """(u(x), u'(x)) at the points xs of the regular solution of -u'' + V u = E u,
+    integrated outward from X0_FINE to max(xs) from the data
     u(X0_FINE) = X0_FINE^(1/2+mu) (1 + c X0_FINE^2), two Frobenius terms.
 
-    Returns the dense evaluator x -> (u(x), u'(x)) on [X0_FINE, x1]; the values are
-    real at a real energy and complex otherwise.  DomainError unless energy,
-    x1 > X0_FINE and tol > 0 are finite.  The solution grows like e^(Re sqrt(-E) x);
-    raises IllConditionedError when it or its second derivative would leave double
-    range by x1.
+    Each of u and u' has the shape of xs; points may come in any order and may
+    repeat.  The values are real at a real energy and complex otherwise.
+    DomainError unless energy and tol > 0 are finite and every point of xs is
+    finite and > X0_FINE.  The solution grows like e^(Re sqrt(-E) x); raises
+    IllConditionedError when it or its second derivative would leave double
+    range by max(xs).
     """
     if not np.isfinite(energy):
         raise DomainError(f"energy must be finite, got {energy}")
-    _positive("x1 - X0_FINE and tol", [x1 - X0_FINE, tol])
+    _positive("tol", tol)
+    xs = _points("xs - X0_FINE", xs, X0_FINE)
+    x1 = xs.max()
     _check_growth("regular solution", params, energy, cmath.sqrt(-complex(energy)).real * x1, X0_FINE, x1)
     u0, du0 = _regular_data(params, energy, X0_FINE)
-    return _integrate(params, energy, (X0_FINE, x1), u0, du0, tol).sol
+    return _at_points(params, energy, X0_FINE, xs, u0, du0, tol)
 
 
-def integrate_decaying(params: ModelParams, pt: SpectralPoint, x_low: float):
-    """Integrate inward to x_low with decaying data (1, -zeta), unit scale, from the start X
-    where that data is good to the solve tolerance, at least x_low + 1.
+def integrate_decaying(params: ModelParams, pt: SpectralPoint, xs):
+    """(u(x), u'(x)) at the points xs of the decaying solution, complex, integrated
+    inward to min(xs) from the data (1, -zeta), unit scale, at the start X: the
+    larger of max(xs) and the x where that data is good to the solve tolerance, at
+    least min(xs) + 1.
 
-    Returns the dense evaluator x -> (u(x), u'(x)), complex, on [x_low, X].
-
-    Backward integration keeps the decaying solution clean: the unwanted
+    Each of u and u' has the shape of xs; points may come in any order and may
+    repeat.  Backward integration keeps the decaying solution clean: the unwanted
     growing mode dies in the reversed direction.  The solution grows like
     e^(Re zeta (X - x)) on the way in, and like tanh(x)^(1/2 - mu) near the
     origin; raises IllConditionedError when it or its second derivative would
-    leave double range.  x_low must be finite and > 0 (DomainError).
+    leave double range.  Every point of xs must be finite and > 0 (DomainError).
     """
-    _positive("x_low", x_low)
+    xs = _points("xs", xs, 0.0)
+    x_low = xs.min()
     zeta = complex(pt.zeta)
     # The decaying solution is e^(-zeta x) (1 + a e^(-2x) + ...), a = (mu^2 - nu^2)/(zeta + 1), from
     # V ~ 4 (mu^2 - nu^2) e^(-2x).  Start where the term the data drops is below the tolerance in u
     # and, as a (1 + 2/zeta) e^(-2x), in u'/zeta; |a| floored at 1 (X >= 11.5) keeps e^(-4x) below it too.
     lead = abs(params.mu**2 - params.nu**2) / abs(zeta + 1.0) * max(1.0, abs(1.0 + 2.0 / zeta))
-    x_start = max(x_low + 1.0, 0.5 * math.log(max(lead, 1.0) / _DEFAULT_TOL))
+    x_start = max(x_low + 1.0, 0.5 * math.log(max(lead, 1.0) / _DEFAULT_TOL), xs.max())
     # e^(zeta (X - x)) far out, times tanh(x)^(1/2 - mu) near the origin
     log_growth = zeta.real * (x_start - x_low) + max(params.mu - 0.5, 0.0) * -math.log(math.tanh(x_low))
     _check_growth("decaying solution", params, -(zeta**2), log_growth, x_start, x_low)
-    return _integrate(params, -(zeta**2), (x_start, x_low), 1.0, -zeta, _DEFAULT_TOL, _DEFAULT_TOL).sol
+    return _at_points(params, -(zeta**2), x_start, xs, 1.0, -zeta, _DEFAULT_TOL, _DEFAULT_TOL)
 
 
 def extract_sigma(params: ModelParams, k: float) -> complex:
@@ -166,9 +195,8 @@ def extract_sigma(params: ModelParams, k: float) -> complex:
     """
     _positive("k", k)
     lo, hi = FIT_WINDOW
-    sol = integrate_regular(params, energy=k * k, x1=hi)
     xs = np.linspace(lo, hi, 64)
-    u, _ = sol(xs)
+    u, _ = integrate_regular(params, k * k, xs)
     waves = np.column_stack([np.exp(1j * k * xs), np.exp(-1j * k * xs)])
     design = np.hstack([waves, waves * np.exp(-2.0 * (xs - lo))[:, None]])
     cond = np.linalg.cond(design)
@@ -205,16 +233,13 @@ def greens_function_oracle(params: ModelParams, pt: SpectralPoint, x: float, y: 
     -(regular at min)(decaying at max) / numerical Wronskian, formed from ratios as
     -(u_r(lo)/u_r(hi)) / (u_d'/u_d - u_r'/u_r)(hi): the arbitrary normalizations of the
     two integrations cancel, and no product of two large solutions is formed.  The
-    decaying solve runs down to max(x, y), the one point read from it.  Raises
+    regular solve reads both points; the decaying solve reads max(x, y) alone.  Raises
     IllConditionedError where either solve would leave double range.  x, y must be
     finite and > 0 (DomainError).
     """
     _positive("x and y", [x, y])
     lo, hi = min(x, y), max(x, y)
     zeta = complex(pt.zeta)
-    dec = integrate_decaying(params, pt, x_low=hi)
-    reg = integrate_regular(params, energy=-(zeta**2), x1=hi)
-    u_r, du_r = reg(hi)
-    u_d, du_d = dec(hi)
-    u_r_lo, _ = reg(lo)
+    u_d, du_d = integrate_decaying(params, pt, hi)
+    (u_r_lo, u_r), (_, du_r) = integrate_regular(params, -(zeta**2), [lo, hi])
     return complex(-(u_r_lo / u_r) / (du_d / u_d - du_r / u_r))

@@ -26,6 +26,7 @@ __all__ = [
     "eval_L",
     "eval_M",
     "eval_N",
+    "eval_derivative",
     "wronskian",
     "connection_coefficients",
 ]
@@ -99,13 +100,16 @@ def _not_finite(zeta):
     return IllConditionedError(f"solution not finite in double precision (|zeta| up to {np.max(np.abs(zeta)):.6g})")
 
 
-def _solution(params: ModelParams, x, zeta, sign: int, regular: bool):
+def _solution(params: ModelParams, x, zeta, sign: int, regular: bool, derivative: bool = False):
     """Shared closed form (tanh x)^(1/2+mu) (cosh x)^(-sign zeta) F(alpha + sign zeta/2,
-    beta + sign zeta/2; c; .), with F in tanh^2 x (regular: c = 1+mu) or in
-    sech^2 x (c = 1 + sign zeta).  x and zeta broadcast against each other.
+    beta + sign zeta/2; c; w), with F in w = tanh^2 x (regular: c = 1+mu) or in
+    w = sech^2 x (c = 1 + sign zeta).  x and zeta broadcast against each other.
     For M at a scalar zeta where b = beta + zeta/2 = -n, F is
     n!/(1+zeta)_n P_n^(zeta, mu)(1 - 2 sech^2 x) (DLMF 15.9.1): the Jacobi
     polynomial does not cancel near x = 0 as the sum in sech^2 x does.
+    With derivative, d/dx of the same: F'(w) = (ab/c) F(a+1, b+1; c+1; w)
+    (DLMF 15.5.1), or at a bound state dP_n^(p, q)/dt = (n+p+q+1)/2 P_(n-1)^(p+1, q+1)
+    (DLMF 18.9.15).
     An x that is not finite and > 0 raises DomainError; a value that is not finite, IllConditionedError.
     """
     x = _positive("x", x)
@@ -113,17 +117,22 @@ def _solution(params: ModelParams, x, zeta, sign: int, regular: bool):
     x = np.atleast_1d(x)
     a = params.alpha + sign * zeta / 2.0
     b = params.beta + sign * zeta / 2.0
+    c = 1.0 + params.mu if regular else 1.0 + sign * zeta
     th = np.tanh(x)
     lc = _log_cosh(x)
+    w, log_w = (th**2, -2.0 * lc) if regular else (np.exp(-2.0 * lc), 2.0 * np.log(th))
     n = _bound_state(params, zeta) if sign > 0 and not regular else -1  # M at a bound state
     try:
-        if regular:
-            F = hyp2f1_values(a, b, 1.0 + params.mu, th**2, log_w=-2.0 * lc)
-        elif n >= 0:
+        if n >= 0:
             scale = gamma_ratio((n + 1.0, 1.0 + zeta), (n + 1.0 + zeta,))  # n!/(1+zeta)_n
-            F = scale * eval_jacobi(n, complex(zeta).real, params.mu, 1.0 - 2.0 * np.exp(-2.0 * lc))
+            zr, t = complex(zeta).real, 1.0 - 2.0 * w
+            F = scale * eval_jacobi(n, zr, params.mu, t)
+            if derivative:  # dt/dw = -2; scipy's P_(-1) is 0, the derivative of P_0
+                dF = -scale * (n + zr + params.mu + 1.0) * eval_jacobi(n - 1, zr + 1.0, params.mu + 1.0, t)
         else:
-            F = hyp2f1_values(a, b, 1.0 + sign * zeta, np.exp(-2.0 * lc), log_w=2.0 * np.log(th))
+            F = hyp2f1_values(a, b, c, w, log_w=log_w)
+            if derivative:
+                dF = a * b / c * hyp2f1_values(a + 1.0, b + 1.0, c + 1.0, w, log_w=log_w)
     except InvalidCError:  # only c = 1 + sign zeta can be a nonpositive integer; the error names zeta
         msg = f"c = 1 + {sign} zeta is a nonpositive integer at zeta = {zeta}; perturb zeta"
         raise InvalidCError(msg) from None
@@ -134,12 +143,18 @@ def _solution(params: ModelParams, x, zeta, sign: int, regular: bool):
         pref = np.asarray(-sign * zeta, dtype=complex) * lc
         pref += (0.5 + params.mu) * np.log(th)
         np.exp(pref, out=pref)
-        # F e^pref piece by piece into new arrays: in place, a one-element complex
-        # product rounds differently, and a point would differ from its grid lane
-        out, e = F.reshape(-1), pref.reshape(-1)
-        for s in range(0, out.size, BLOCK_LANES):
-            out[s : s + BLOCK_LANES] = out[s : s + BLOCK_LANES] * e[s : s + BLOCK_LANES]
-        F = out.reshape(F.shape)
+        if derivative:
+            # (log pref)' = (1/2+mu) sech^2 x / tanh x - sign zeta tanh x; w' = +/-2 tanh x sech^2 x
+            sech2 = np.exp(-2.0 * lc)
+            dw = (2.0 if regular else -2.0) * th * sech2
+            F = pref * (F * ((0.5 + params.mu) * sech2 / th - sign * zeta * th) + dw * dF)
+        else:
+            # F e^pref piece by piece into new arrays: in place, a one-element complex
+            # product rounds differently, and a point would differ from its grid lane
+            out, e = F.reshape(-1), pref.reshape(-1)
+            for s in range(0, out.size, BLOCK_LANES):
+                out[s : s + BLOCK_LANES] = out[s : s + BLOCK_LANES] * e[s : s + BLOCK_LANES]
+            F = out.reshape(F.shape)
     if not np.isfinite(F).all():
         raise _not_finite(zeta)
     return complex(F[0]) if scalar else F
@@ -161,6 +176,25 @@ def eval_M(params: ModelParams, x, pt: SpectralPoint):
 def eval_N(params: ModelParams, x, pt: SpectralPoint):
     """Growing solution, N(x) = 2^(-zeta) e^(zeta x) (1 + O(e^(-2x))) at infinity."""
     return _solution(params, x, pt.zeta, -1, regular=False)
+
+
+_SOLUTIONS = {"L": (-1, True), "M": (1, False), "N": (-1, False)}  # which -> (sign, regular)
+
+
+def eval_derivative(params: ModelParams, x, pt: SpectralPoint, which: str):
+    """d/dx of eval_L, eval_M or eval_N (which = "L", "M" or "N") at x, in the same shape.
+
+    The closed form's 2F1 F(a, b; c; w) contributes F'(w) = (ab/c) F(a+1, b+1; c+1; w)
+    (DLMF 15.5.1), one more hyp2f1_values row with shifted parameters; M at a bound
+    state differentiates its Jacobi polynomial instead (DLMF 18.9.15).  The shifted
+    2F1 has the conditioning of the unshifted one: where eval_L, eval_M or eval_N
+    lose digits to cancellation, this loses as many.  An x that is not finite and
+    > 0, or another which, raises DomainError.
+    """
+    if which not in _SOLUTIONS:
+        raise DomainError(f"which must be 'L', 'M' or 'N', got {which!r}")
+    sign, regular = _SOLUTIONS[which]
+    return _solution(params, x, pt.zeta, sign, regular, derivative=True)
 
 
 def wronskian(params: ModelParams, pt: SpectralPoint) -> complex:

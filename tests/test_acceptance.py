@@ -69,9 +69,8 @@ def test_criterion_2_closed_form_vs_oracle():
     worst = 0.0
     for mu, nu, zeta in [(0.0, 3.0, 2 + 1j), (1.0, 1.0, 1.0), (2.0, 0.0, 0.5 + 2j)]:
         p = ModelParams(mu, nu)
-        sol = integrate_regular(p, energy=-(complex(zeta) ** 2), x1=6.0, tol=1e-11)
         xs = np.linspace(0.1, 6.0, 60)
-        u, _ = sol(xs)
+        u, _ = integrate_regular(p, -(complex(zeta) ** 2), xs, tol=1e-11)
         lv = eval_L(p, xs, SpectralPoint.interior(zeta))
         const = np.vdot(lv, u) / np.vdot(lv, lv)
         worst = max(worst, float(np.max(np.abs(u - const * lv) / np.abs(u))))

@@ -12,7 +12,7 @@ from halfscatter import index, oracle, scattering
 from halfscatter.errors import DomainError, ParityError
 from halfscatter.model import ModelParams, classify_beta, potential, reduce_group_indices
 from halfscatter.phase import refine_path
-from halfscatter.solutions import SpectralPoint, eval_L, eval_M, eval_N
+from halfscatter.solutions import SpectralPoint, eval_derivative, eval_L, eval_M, eval_N
 from halfscatter.specfun import bessel_script_J, hyp2f1_values, pochhammer
 
 
@@ -114,6 +114,10 @@ POSITIVE_ARGS = {
     "integrate_regular(x1)": lambda v: oracle.integrate_regular(P, 1.0, v),
     "integrate_regular(tol)": lambda v: oracle.integrate_regular(P, 1.0, 2.0, v),
     "integrate_decaying(x_low)": lambda v: oracle.integrate_decaying(P, PT, v),
+    # one bad point among good ones
+    "integrate_regular(xs)": lambda v: oracle.integrate_regular(P, 1.0, [1.0, v, 2.0]),
+    "integrate_decaying(xs)": lambda v: oracle.integrate_decaying(P, PT, [[1.0, v], [2.0, 3.0]]),
+    "eval_derivative(x)": lambda v: eval_derivative(P, v, PT, "M"),
     "greens_function_oracle(x)": lambda v: oracle.greens_function_oracle(P, PT, 1.0, v),
     "greens_function_oracle(y)": lambda v: oracle.greens_function_oracle(P, PT, v, 1.0),
 }
@@ -142,6 +146,11 @@ OTHER_CASES = {
     "quadrature_panels(panel_width=1e-320)": lambda: scattering.quadrature_panels(0.0, 1.0, 1e-320, 4),
     # a finite panel count, 1e300, that would take endless panels
     "quadrature_panels(panel_width=1e-300)": lambda: scattering.quadrature_panels(0.0, 1.0, 1e-300, 4),
+    # a regular point at the start of the solve, or below it
+    "integrate_regular(xs=X0_FINE)": lambda: oracle.integrate_regular(P, 1.0, [1.0, oracle.X0_FINE]),
+    "integrate_regular(xs=X0_FINE/2)": lambda: oracle.integrate_regular(P, 1.0, [oracle.X0_FINE / 2, 1.0]),
+    "integrate_regular(xs=[])": lambda: oracle.integrate_regular(P, 1.0, []),
+    "integrate_decaying(xs=[])": lambda: oracle.integrate_decaying(P, PT, []),
     "pochhammer(n=-1)": lambda: pochhammer(1.0, -1),
     "pochhammer(n=0.5)": lambda: pochhammer(1.0, 0.5),
     "refine_path(one node)": lambda: refine_path(np.exp, [0.0]),

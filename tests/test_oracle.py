@@ -9,6 +9,7 @@ import pytest
 
 import halfscatter.oracle as oracle_mod
 from conftest import mp_resolvent
+from halfscatter.cli import main
 from halfscatter.errors import IllConditionedError
 from halfscatter.model import ModelParams
 from halfscatter.oracle import (
@@ -19,7 +20,7 @@ from halfscatter.oracle import (
     integrate_regular,
 )
 from halfscatter.scattering import sigma
-from halfscatter.solutions import SpectralPoint, eval_L
+from halfscatter.solutions import SpectralPoint, eval_L, eval_M
 from halfscatter.spectral import bound_states, resolvent_kernel
 
 FREE = ModelParams(0.5, 0.5)
@@ -27,9 +28,8 @@ FREE = ModelParams(0.5, 0.5)
 
 def test_free_case_is_sine():
     k = 1.1
-    sol = integrate_regular(FREE, energy=k * k, x1=10.0)
     xs = np.linspace(0.1, 10, 60)
-    u, _ = sol(xs)
+    u, _ = integrate_regular(FREE, k * k, xs)
     ref = np.sin(k * xs) / k
     c = np.vdot(ref, u) / np.vdot(ref, ref)
     assert np.max(np.abs(u - c * ref)) / np.max(np.abs(u)) < 1e-8
@@ -40,9 +40,8 @@ def test_convergence_with_tolerance():
     k = 1.0
     errs = []
     for tol in (1e-6, 1e-8, 1e-10):
-        sol = integrate_regular(FREE, energy=k * k, x1=10.0, tol=tol)
         xs = np.linspace(1, 10, 30)
-        u, _ = sol(xs)
+        u, _ = integrate_regular(FREE, k * k, xs, tol=tol)
         ref = np.sin(k * xs) / k
         c = np.vdot(ref, u) / np.vdot(ref, ref)
         errs.append(np.max(np.abs(u - c * ref)))
@@ -53,9 +52,8 @@ def test_convergence_with_tolerance():
 def test_matches_regular_closed_form():
     params = ModelParams(0.0, 3.0)
     zeta = 2 + 1j
-    sol = integrate_regular(params, energy=-(zeta**2), x1=6.0, tol=1e-11)
     xs = np.linspace(0.1, 6, 40)
-    u, _ = sol(xs)
+    u, _ = integrate_regular(params, -(zeta**2), xs, tol=1e-11)
     lv = eval_L(params, xs, SpectralPoint.interior(zeta))
     c = np.vdot(lv, u) / np.vdot(lv, lv)
     assert np.max(np.abs(u - c * lv) / np.abs(u)) < 1e-7
@@ -65,15 +63,40 @@ def test_integrated_wronskian_constant():
     params = ModelParams(1.0, 4.0)
     zeta = 1.2 + 0.8j
     pt = SpectralPoint.interior(zeta)
-    reg = integrate_regular(params, energy=-(zeta**2), x1=8.0)
-    dec = integrate_decaying(params, pt, x_low=0.3)
-    ws = []
-    for x in np.linspace(0.5, 7.5, 15):
-        ur, dur = reg(x)
-        ud, dud = dec(x)
-        ws.append(ur * dud - dur * ud)
-    ws = np.array(ws)
+    xs = np.linspace(0.5, 7.5, 15)
+    ur, dur = integrate_regular(params, -(zeta**2), xs)
+    ud, dud = integrate_decaying(params, pt, xs)
+    ws = ur * dud - dur * ud
     assert np.max(np.abs(ws - ws.mean())) / abs(ws.mean()) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "which, xs", [("regular", [2.0, 4.0, 8.0]), ("decaying", [1.0, 0.5, 15.0])], ids=["regular", "decaying"]
+)
+def test_points_beyond_a_fixed_span_match_the_closed_form(which, xs):
+    # a dense evaluator solved to x = 2 (regular) or inward to x = 1 (decaying) extrapolated
+    # with no error: off by 5.4 % and 103 % at x = 4 and 8, and by 9e-4 and 179x at x = 0.5 and 15
+    p, pt = ModelParams(1.0, 2.0), SpectralPoint.interior(1.5 + 0.5j)
+    xs = np.array(xs)
+    if which == "regular":
+        ratio = integrate_regular(p, -(pt.zeta**2), xs)[0] / eval_L(p, xs, pt)
+    else:
+        ratio = integrate_decaying(p, pt, xs)[0] / eval_M(p, xs, pt)
+    assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-8
+
+
+def test_points_come_in_any_order_and_shape():
+    # each value is the one the sorted, distinct points give, in the shape of xs
+    p, pt = ModelParams(1.0, 2.0), SpectralPoint.interior(1.5 + 0.5j)
+    xs = np.array([[3.0, 0.5], [3.0, 1.25]])
+    solves = [lambda x: integrate_regular(p, -(pt.zeta**2), x), lambda x: integrate_decaying(p, pt, x)]
+    for solve in solves:
+        u, du = solve(xs)
+        us, dus = solve([0.5, 1.25, 3.0])
+        assert u.shape == du.shape == xs.shape
+        assert np.array_equal(u, us[[[2, 0], [2, 1]]]) and np.array_equal(du, dus[[[2, 0], [2, 1]]])
+        u1, du1 = solve(1.25)
+        assert np.shape(u1) == np.shape(du1) == ()
 
 
 def test_extract_sigma_free():
@@ -163,7 +186,7 @@ def test_greens_in_the_deep_well_against_mpmath():
 
 @pytest.mark.parametrize("energy, kind", [(1.44, "f"), (-1e-8, "f"), (-(1.5 + 0.5j) ** 2, "c")])
 def test_regular_solution_follows_the_dtype_of_its_energy(energy, kind):
-    u, du = integrate_regular(ModelParams(1.0, 2.0), energy, 3.0)(np.linspace(0.5, 3.0, 5))
+    u, du = integrate_regular(ModelParams(1.0, 2.0), energy, np.linspace(0.5, 3.0, 5))
     assert u.dtype.kind == du.dtype.kind == kind
 
 
@@ -208,10 +231,10 @@ def test_decaying_start_agrees_with_a_far_start(mu, nu, zeta):
     # the start rule's data (1, -zeta) is good to the solve tolerance: the solution
     # equals the same equation started at x = 30, up to one constant
     p = ModelParams(mu, nu)
-    dec = integrate_decaying(p, SpectralPoint.interior(zeta), x_low=0.5)
-    far = oracle_mod._integrate(p, -(zeta**2), (30.0, 0.5), 1.0, -zeta, 1e-10, 1e-10).sol
     xs = np.linspace(0.5, 11.0, 43)
-    ratio = dec(xs)[0] / far(xs)[0]
+    dec, _ = integrate_decaying(p, SpectralPoint.interior(zeta), xs)
+    far, _ = oracle_mod._at_points(p, -(zeta**2), 30.0, xs, 1.0, -zeta, 1e-10, 1e-10)
+    ratio = dec / far
     assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-8
 
 
@@ -241,21 +264,20 @@ def test_greens_symmetry():
 def test_every_closed_form_has_an_oracle_counterpart():
     # the full standard set: regular solution, Wronskian, scattering function,
     # resolvent kernel, and bound count each against their integration oracle
-    from halfscatter.solutions import eval_M, wronskian
+    from halfscatter.solutions import wronskian
     from halfscatter.spectral import bound_states
 
     zeta = 1.3 + 0.4j
     for mu, nu in [(0, 0), (0, 3), (0, 2.5), (1, 1), (1, 4), (2, 0), (0.5, 0.5), (3, 0.5)]:
         p = ModelParams(mu, nu)
         pt = SpectralPoint.interior(zeta)
-        sol = integrate_regular(p, energy=-(zeta**2), x1=6.0, tol=1e-11)
         xs = np.linspace(0.3, 6.0, 25)
-        u, _ = sol(xs)
+        u, du = integrate_regular(p, -(zeta**2), np.append(xs, 2.0), tol=1e-11)
+        u, u1, du1 = u[:-1], u[-1], du[-1]
         lv = eval_L(p, xs, pt)
         const = np.vdot(lv, u) / np.vdot(lv, lv)
         assert np.max(np.abs(u - const * lv) / np.abs(u)) < 1e-7, (mu, nu)
 
-        u1, du1 = sol(2.0)
         h = 1e-4
         m_at = eval_M(p, 2.0, pt)
         dm = (eval_M(p, 2.0 + h, pt) - eval_M(p, 2.0 - h, pt)) / (2 * h)
@@ -283,7 +305,23 @@ def test_every_solve_goes_through_the_module_solve_ivp(monkeypatch):
         return result
 
     monkeypatch.setattr(oracle_mod, "solve_ivp", counting)
-    integrate_regular(FREE, energy=1.0, x1=5.0)
+    integrate_regular(FREE, 1.0, 5.0)
     assert len(calls) == 1
     assert count_bound_states_shooting(ModelParams(0.0, 3.0)) == 1
     assert len(calls) == 2 and min(calls) > 0
+
+
+def test_an_oracle_check_table_makes_six_solves_and_no_dense_output(monkeypatch, capsys):
+    # callers read the solution at a few points: no solve builds scipy's dense interpolant
+    seen = []
+    solve = oracle_mod.solve_ivp
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "solve_ivp", recording)
+    assert main(["oracle-check", "--mu", "1", "--nu", "2", "--zeta", "1.5+0.5j"]) == 0
+    assert "fail" not in capsys.readouterr().out
+    assert len(seen) == 6
+    assert not any(kwargs.get("dense_output") for kwargs in seen)

@@ -13,6 +13,7 @@ from halfscatter.oracle import integrate_decaying, integrate_regular
 from halfscatter.solutions import (
     SpectralPoint,
     connection_coefficients,
+    eval_derivative,
     eval_L,
     eval_M,
     eval_N,
@@ -161,21 +162,72 @@ def test_wronskian_matches_integrated_solutions():
     params = ModelParams(1.0, 2.0)
     zeta = 1.5 + 0.5j
     pt = SpectralPoint.interior(zeta)
-    reg = integrate_regular(params, energy=-(zeta**2), x1=6.0, tol=1e-11)
-    dec = integrate_decaying(params, pt, x_low=0.4)
-    vals = []
-    for x in (0.5, 1.0, 2.0, 4.0):
-        ur, dur = reg(x)
-        ud, dud = dec(x)
-        vals.append(ur * dud - dur * ud)
-    vals = np.array(vals)
+    xs = np.array([0.5, 1.0, 2.0, 4.0])
+    ur, dur = integrate_regular(params, -(zeta**2), xs, tol=1e-11)
+    ud, dud = integrate_decaying(params, pt, xs)
+    vals = ur * dud - dur * ud
     spread = np.max(np.abs(vals - vals.mean())) / abs(vals.mean())
     assert spread < 1e-8
     # normalizations: reg = cr * L, dec = cd * M
-    cr = reg(2.0)[0] / eval_L(params, 2.0, pt)
-    cd = dec(2.0)[0] / eval_M(params, 2.0, pt)
+    cr = ur[2] / eval_L(params, 2.0, pt)
+    cd = ud[2] / eval_M(params, 2.0, pt)
     w_closed = wronskian(params, pt)
     assert abs(vals.mean() - cr * cd * w_closed) / abs(vals.mean()) < 1e-7
+
+
+def _mp_solution(params, zeta, which, x):
+    """L, M or N at x and its derivative, from mpmath's 2F1 at 40 digits (skips without mpmath)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        m, a, b, z = mp.mpf(params.mu), mp.mpf(params.alpha), mp.mpf(params.beta), mp.mpc(zeta)
+        s = 1 if which == "M" else -1
+        c = {"L": 1 + m, "M": 1 + z, "N": 1 - z}[which]
+        w = (lambda t: mp.tanh(t) ** 2) if which == "L" else (lambda t: mp.sech(t) ** 2)
+
+        def f(t):
+            return mp.tanh(t) ** (m + 0.5) * mp.cosh(t) ** (-s * z) * mp.hyp2f1(a + s * z / 2, b + s * z / 2, c, w(t))
+
+        return complex(f(mp.mpf(x))), complex(mp.diff(f, mp.mpf(x)))
+
+
+@pytest.mark.parametrize("mu, nu, zeta", [(1.10, 1.03, 2.08 + 0.46j), (0.02, 2.09, 1.50 + 0.53j), (1.0, 2.1, 1.6 + 0.5j)])
+def test_derivative_against_mpmath(mu, nu, zeta):
+    # a central difference of eval_M with h = 1e-5 was off by 4.7e-11 to 8.0e-11 at x = 2
+    p, pt = ModelParams(mu, nu), SpectralPoint.interior(zeta)
+    for which in "LMN":
+        for x in (0.3, 2.0, 7.0):
+            ref = _mp_solution(p, zeta, which, x)[1]
+            assert abs(eval_derivative(p, x, pt, which) - ref) < 1e-13 * abs(ref), (which, x)
+    ref = _mp_solution(p, zeta, "M", 2.0)[1]
+    assert abs(eval_derivative(p, 2.0, pt, "M") - ref) < 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("mu, nu, zeta", [(0.0, 5.0, 4.0), (0.0, 5.0, 2.0), (1.0, 6.0, 1.0), (0.5, 7.5, 2.0)])
+def test_derivative_at_a_bound_state_against_mpmath(mu, nu, zeta):
+    # beta + zeta/2 = -n with n = 0, 1, 2 and 2: M' differentiates the Jacobi polynomial
+    p, pt = ModelParams(mu, nu), SpectralPoint.interior(zeta)
+    for x in (0.01, 0.5, 2.0):
+        ref = _mp_solution(p, zeta, "M", x)[1]
+        assert abs(eval_derivative(p, x, pt, "M") - ref) < 1e-13 * abs(ref), x
+
+
+def test_derivative_on_a_boundary_grid_against_mpmath():
+    # measured against the solution's own size too: at k = 0.7, x = 1.5, near a maximum of L,
+    # L' is 0.016 and its two terms cancel; the error there, 2.9e-15, is 4e-15 of |L|
+    p, ks, xs = GENERIC, np.array([0.7, 1.9]), np.array([0.4, 1.5, 3.0])
+    for which in "LMN":
+        grid = eval_derivative(p, xs, SpectralPoint.boundary(ks[:, None], -1), which)
+        assert grid.shape == (2, 3)
+        for i, k in enumerate(ks):
+            for j, x in enumerate(xs):
+                value, ref = _mp_solution(p, 1j * k, which, x)  # side -1: zeta = ik
+                assert abs(grid[i, j] - ref) < 1e-13 * max(abs(ref), abs(value)), (which, k, x)
+
+
+@pytest.mark.parametrize("which", ["l", "W", None])
+def test_derivative_of_an_unknown_solution_raises(which):
+    with pytest.raises(DomainError):
+        eval_derivative(GENERIC, 1.0, SpectralPoint.interior(1.5), which)
 
 
 def test_connection_formula_pointwise(standard_params):
