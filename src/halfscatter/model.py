@@ -81,10 +81,15 @@ def classify_beta(params: ModelParams) -> BetaClass:
 
 
 def potential(params: ModelParams, x):
-    """Potential value (mu^2-1/4)/(sinh^2 x cosh^2 x) + (mu^2-nu^2)/cosh^2 x, finite x > 0."""
+    """Potential value (mu^2-1/4)/(sinh^2 x cosh^2 x) + (mu^2-nu^2)/cosh^2 x, finite x > 0.
+
+    Written in q = e^(-2x) as (mu^2-1/4) 16 q^2/expm1(-4x)^2 + (mu^2-nu^2) 4 q/(1+q)^2, which
+    stays finite where sinh x cosh x leaves double range (x > 177); oracle._rhs uses the same form.
+    """
     x = _positive("x", x)
-    sh, ch = np.sinh(x), np.cosh(x)
-    out = (params.mu**2 - 0.25) / (sh * ch) ** 2 + (params.mu**2 - params.nu**2) / ch**2
+    q = np.exp(-2.0 * x)
+    mu2 = params.mu**2
+    out = (mu2 - 0.25) * 16.0 * q**2 / np.expm1(-4.0 * x) ** 2 + (mu2 - params.nu**2) * 4.0 * q / (1.0 + q) ** 2
     return float(out) if out.ndim == 0 else out
 
 

@@ -27,26 +27,25 @@ __all__ = [
 
 _DEFAULT_TOL = 1e-10
 _MAX_LOG_GROWTH = 700.0  # log of the largest growth an integration may carry in double range
-# Start of every regular solve: the two-term data of _regular_data drops a term of
-# relative size about (c X0_FINE^2)^2 there, far below the solve tolerance for mu, nu <= 50.
-X0_FINE = 1e-5
+X0_FINE = 1e-5  # smallest point integrate_regular serves: every point lies above it
+# Largest start of a regular solve, well inside pi/2, the radius of V's series at the
+# origin (V is singular at x = i pi/2), so the terms the data drops are small there.
+X0_MAX = 0.1
 FIT_WINDOW = (8.0, 12.0)  # extract_sigma's plane-wave fit window
-# The shooting count: regular data at SHOOT_X0, nodes counted up to SHOOT_X_MAX.
-SHOOT_X0 = 1e-3
-SHOOT_X_MAX = 25.0
+SHOOT_X_MAX = 25.0  # the shooting count counts nodes up to here
 SHOOT_TOL = 1e-8
 
 
 def _rhs(params: ModelParams, energy):
     mu2 = params.mu**2
-    c0 = mu2 - 0.25
-    c1 = mu2 - params.nu**2
+    c0 = 16.0 * (mu2 - 0.25)
+    c1 = 4.0 * (mu2 - params.nu**2)
 
-    # y = (u, u'); u'' = (V - E) u
+    # y = (u, u'); u'' = (V - E) u, with V in q = e^(-2x) as in model.potential: finite at every x
     def rhs(x, y):
-        sh = math.sinh(x)
-        ch = math.cosh(x)
-        v = c0 / (sh * ch) ** 2 + c1 / ch**2
+        q = math.exp(-2.0 * x)
+        r = q / math.expm1(-4.0 * x)
+        v = c0 * r * r + c1 * q / ((1.0 + q) * (1.0 + q))
         return (y[1], (v - energy) * y[0])
 
     return rhs
@@ -108,26 +107,42 @@ def _points(what: str, xs, floor: float):
     return xs
 
 
+def _frobenius(params: ModelParams, energy):
+    """(p, V0 - E, V1) of the regular solution u = x^p (1 + c x^2 + c2 x^4 + ...), p = 1/2 + mu,
+    where V = (mu^2 - 1/4)/x^2 + V0 + V1 x^2 + ... at the origin, from
+    4/sinh^2 2x = 1/x^2 - 4/3 + 16x^2/15 - ... and 1/cosh^2 x = 1 - x^2 + ...
+    The recurrence gives c = (V0 - E)/(4p + 2) and c2 = ((V0 - E) c + V1)/(4(2p + 3))."""
+    mu2, d = params.mu**2, params.mu**2 - params.nu**2
+    return 0.5 + params.mu, d - (4.0 / 3.0) * (mu2 - 0.25) - energy, (16.0 / 15.0) * (mu2 - 0.25) - d
+
+
+def _regular_start(params: ModelParams, energy, tol: float) -> float:
+    """The x where the first term _regular_data drops, c2 x^4 in u and (1 + 4/p) times that
+    in u', is a tenth of tol; at most X0_MAX.  |c2| is bounded by its majorant
+    (|V0 - E| |c| + |V1|)/(4(2p + 3)), so an accidental zero of the signed sum does not
+    push the start out to where the later terms are not small."""
+    p, dv, v1 = _frobenius(params, energy)
+    bound = (1.0 + 4.0 / p) * (abs(dv) ** 2 / (4.0 * p + 2.0) + abs(v1)) / (4.0 * (2.0 * p + 3.0))
+    return min(X0_MAX, (0.1 * tol / bound) ** 0.25) if bound > 0.0 else X0_MAX
+
+
 def _regular_data(params: ModelParams, energy, x0: float):
     """(u, u') at x0 from the first two Frobenius terms of the regular solution,
-    u = x^p (1 + c x^2) with p = 1/2 + mu and c = (V0 - E)/(4p + 2), where
-    V0 = mu^2 - nu^2 - (4/3)(mu^2 - 1/4) is V - (mu^2 - 1/4)/x^2 at the origin.
+    u = x^p (1 + c x^2) with p = 1/2 + mu and c = (V0 - E)/(4p + 2) (see _frobenius).
 
     IllConditionedError when u would underflow: from zero data scipy's step loop never ends.
     """
-    p = 0.5 + params.mu
+    p, dv, _ = _frobenius(params, energy)
     if p * math.log(x0) < -_MAX_LOG_GROWTH:
         raise IllConditionedError(f"regular data {x0:g}^(1/2+mu) underflows at mu = {params.mu:g}")
-    mu2 = params.mu**2
-    v0 = mu2 - params.nu**2 - (4.0 / 3.0) * (mu2 - 0.25)
-    cx2 = (v0 - energy) / (4.0 * p + 2.0) * x0**2
+    cx2 = dv / (4.0 * p + 2.0) * x0**2
     return x0**p * (1.0 + cx2), x0 ** (p - 1.0) * (p + (p + 2.0) * cx2)
 
 
 def _check_growth(what: str, params: ModelParams, energy: complex, log_growth: float, x_from: float, x_to: float):
     """IllConditionedError when a solution that grows by e^log_growth from x_from to x_to,
     or its second derivative there, |V(x_to) - E| times as large, would leave double range."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # V is inf or nan where sinh(x)^2 underflows
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # V is inf or nan below x ~ 1e-154
         log_peak = log_growth + math.log1p(abs(potential(params, x_to) - energy))
     if not log_peak <= _MAX_LOG_GROWTH:
         raise IllConditionedError(
@@ -137,8 +152,9 @@ def _check_growth(what: str, params: ModelParams, energy: complex, log_growth: f
 
 def integrate_regular(params: ModelParams, energy, xs, tol: float = _DEFAULT_TOL):
     """(u(x), u'(x)) at the points xs of the regular solution of -u'' + V u = E u,
-    integrated outward from X0_FINE to max(xs) from the data
-    u(X0_FINE) = X0_FINE^(1/2+mu) (1 + c X0_FINE^2), two Frobenius terms.
+    integrated outward to max(xs) from the data u(x0) = x0^(1/2+mu) (1 + c x0^2),
+    two Frobenius terms, at x0 = min(_regular_start at tol, min(xs)): where the
+    terms the data drops are a tenth of tol.
 
     Each of u and u' has the shape of xs; points may come in any order and may
     repeat.  The values are real at a real energy and complex otherwise.
@@ -151,10 +167,10 @@ def integrate_regular(params: ModelParams, energy, xs, tol: float = _DEFAULT_TOL
         raise DomainError(f"energy must be finite, got {energy}")
     _positive("tol", tol)
     xs = _points("xs - X0_FINE", xs, X0_FINE)
-    x1 = xs.max()
-    _check_growth("regular solution", params, energy, cmath.sqrt(-complex(energy)).real * x1, X0_FINE, x1)
-    u0, du0 = _regular_data(params, energy, X0_FINE)
-    return _at_points(params, energy, X0_FINE, xs, u0, du0, tol)
+    x0, x1 = min(_regular_start(params, energy, tol), xs.min()), xs.max()
+    _check_growth("regular solution", params, energy, cmath.sqrt(-complex(energy)).real * x1, x0, x1)
+    u0, du0 = _regular_data(params, energy, x0)
+    return _at_points(params, energy, x0, xs, u0, du0, tol)
 
 
 def integrate_decaying(params: ModelParams, pt: SpectralPoint, xs):
@@ -212,8 +228,9 @@ def extract_sigma(params: ModelParams, k: float) -> complex:
 def count_bound_states_shooting(params: ModelParams) -> int:
     """Number of nodes of the regular solution at energy just below zero.
 
-    By Sturm oscillation this equals the number of eigenvalues.  Past
-    SHOOT_X_MAX u is close to linear, so a node beyond it shows as u u' < 0
+    By Sturm oscillation this equals the number of eigenvalues.  The solve starts
+    from two Frobenius terms where they hold to a tenth of SHOOT_TOL (_regular_start).
+    Past SHOOT_X_MAX u is close to linear, so a node beyond it shows as u u' < 0
     at SHOOT_X_MAX.
     """
 
@@ -221,8 +238,9 @@ def count_bound_states_shooting(params: ModelParams) -> int:
         return y[0].real
 
     energy = -1e-8
-    u0, du0 = _regular_data(params, energy, SHOOT_X0)
-    res = _integrate(params, energy, (SHOOT_X0, SHOOT_X_MAX), u0, du0, SHOOT_TOL, events=node)
+    x0 = _regular_start(params, energy, SHOOT_TOL)
+    u0, du0 = _regular_data(params, energy, x0)
+    res = _integrate(params, energy, (x0, SHOOT_X_MAX), u0, du0, SHOOT_TOL, events=node)
     u, du = res.y[:, -1]
     return len(res.t_events[0]) + int((u * du).real < 0)
 

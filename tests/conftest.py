@@ -59,13 +59,26 @@ def smooth_bump(x, a=1.0, b=3.0):
     return out
 
 
+def _mp_regular(mp, params, z, x):
+    """L(x) = tanh^(1/2+mu) cosh^zeta 2F1(alpha - zeta/2, beta - zeta/2; 1+mu; tanh^2 x) in mpmath."""
+    m, a, b = mp.mpf(params.mu), mp.mpf(params.alpha), mp.mpf(params.beta)
+    return mp.tanh(x) ** (m + 0.5) * mp.cosh(x) ** z * mp.hyp2f1(a - z / 2, b - z / 2, 1 + m, mp.tanh(x) ** 2)
+
+
+def mp_regular(params, zeta, xs):
+    """L at the points xs from mpmath's 2F1 at 40 digits, complex (skips without mpmath)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        return np.array([complex(_mp_regular(mp, params, mp.mpc(zeta), x)) for x in xs])
+
+
 def mp_resolvent(params, zeta, x, y):
     """-L(min) M(max) / W from mpmath's 2F1 and gamma at 40 digits (skips without mpmath)."""
     mp = pytest.importorskip("mpmath")
     lo, hi = min(x, y), max(x, y)
     with mp.workdps(40):
         m, a, b, z = mp.mpf(params.mu), mp.mpf(params.alpha), mp.mpf(params.beta), mp.mpc(zeta)
-        reg = mp.tanh(lo) ** (m + 0.5) * mp.cosh(lo) ** z * mp.hyp2f1(a - z / 2, b - z / 2, 1 + m, mp.tanh(lo) ** 2)
+        reg = _mp_regular(mp, params, z, lo)
         dec = mp.tanh(hi) ** (m + 0.5) * mp.cosh(hi) ** -z * mp.hyp2f1(a + z / 2, b + z / 2, 1 + z, mp.sech(hi) ** 2)
         w = -2 * mp.gamma(1 + m) * mp.gamma(1 + z) / (mp.gamma(a + z / 2) * mp.gamma(b + z / 2))
         return complex(-reg * dec / w)

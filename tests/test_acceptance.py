@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from conftest import STANDARD_PAIRS, fd_first, smooth_bump
+from conftest import STANDARD_PAIRS, smooth_bump
 from halfscatter.index import verify_index, winding_contributions, winding_numeric
 from halfscatter.model import ModelParams, potential
 from halfscatter.oracle import count_bound_states_shooting, extract_sigma, integrate_regular
@@ -25,7 +25,7 @@ from halfscatter.scattering import (
     sigma_at_zero,
     sine_transform,
 )
-from halfscatter.solutions import SpectralPoint, eval_L, eval_M, wronskian
+from halfscatter.solutions import SpectralPoint, eval_derivative, eval_L, eval_M, wronskian
 from halfscatter.spectral import (
     bound_states,
     eigenfunction,
@@ -86,21 +86,16 @@ def test_criterion_3_wronskian():
     for mu, nu in STANDARD_PAIRS:
         p = ModelParams(mu, nu)
         pt = SpectralPoint.interior(zeta)
-        l_fn = lambda t: eval_L(p, t, pt)
-        m_fn = lambda t: eval_M(p, t, pt)
-        vals = np.array(
-            [
-                l_fn(x) * fd_first(m_fn, x) - fd_first(l_fn, x) * m_fn(x)
-                for x in (0.5, 1.0, 2.0, 4.0)
-            ]
-        )
+        xs = np.array([0.5, 1.0, 2.0, 4.0])
+        lv, mv = eval_L(p, xs, pt), eval_M(p, xs, pt)
+        vals = lv * eval_derivative(p, xs, pt, "M") - eval_derivative(p, xs, pt, "L") * mv
         spread = np.max(np.abs(vals - vals.mean())) / abs(vals.mean())
         match = abs(vals.mean() - wronskian(p, pt)) / abs(vals.mean())
         worst_spread = max(worst_spread, float(spread))
         worst_match = max(worst_match, float(match))
     roots = wronskian_roots(ModelParams(0.0, 3.0))
     root_err = abs(roots[0] - 2.0) if roots else np.inf
-    ok = worst_spread < 1e-8 and worst_match < 1e-7 and len(roots) == 1 and root_err < 1e-10
+    ok = worst_spread < 1e-12 and worst_match < 1e-12 and len(roots) == 1 and root_err < 1e-10
     _report(3, "numerical Wronskian constant and matching the gamma closed form",
             ok, f"spread {worst_spread:.2e}; match {worst_match:.2e}; root |zeta-2| {root_err:.2e}")
 

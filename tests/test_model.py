@@ -39,6 +39,24 @@ def test_potential_decays_exponentially():
     assert abs(potential(p, 10.0)) < 1e-7
 
 
+@pytest.mark.parametrize("mu, nu", [(1.0, 2.0), (0.0, 3.0), (0.0, 50.0), (3.0, 0.5), (50.0, 0.0), (0.7, 0.3)])
+def test_potential_matches_the_sinh_cosh_form(mu, nu):
+    # the form in e^(-2x) against the textbook one, to a few ulps of the larger term
+    x = np.geomspace(1e-8, 40.0, 2000)
+    sh, ch = np.sinh(x), np.cosh(x)
+    t0, t1 = (mu**2 - 0.25) / (sh * ch) ** 2, (mu**2 - nu**2) / ch**2
+    err = np.abs(potential(ModelParams(mu, nu), x) - (t0 + t1))
+    assert np.all(err <= 8 * np.finfo(float).eps * (np.abs(t0) + np.abs(t1)))
+
+
+def test_potential_is_finite_far_out():
+    # sinh x cosh x leaves double range past x = 355, its square past x = 177
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = potential(ModelParams(1.0, 2.0), np.array([400.0, 1e4]))
+    assert np.all(np.isfinite(v)) and np.all(np.abs(v) < 1e-300)
+
+
 def test_potential_domain():
     with pytest.raises(DomainError):
         potential(ModelParams(1, 1), 0.0)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import halfscatter.oracle as oracle_mod
-from conftest import mp_resolvent
+from conftest import mp_regular, mp_resolvent
 from halfscatter.cli import main
-from halfscatter.errors import IllConditionedError
+from halfscatter.errors import HalfScatterError, IllConditionedError
 from halfscatter.model import ModelParams
 from halfscatter.oracle import (
     count_bound_states_shooting,
@@ -20,7 +20,7 @@ from halfscatter.oracle import (
     integrate_regular,
 )
 from halfscatter.scattering import sigma
-from halfscatter.solutions import SpectralPoint, eval_L, eval_M
+from halfscatter.solutions import SpectralPoint, eval_derivative, eval_L, eval_M
 from halfscatter.spectral import bound_states, resolvent_kernel
 
 FREE = ModelParams(0.5, 0.5)
@@ -239,18 +239,78 @@ def test_decaying_start_agrees_with_a_far_start(mu, nu, zeta):
 
 
 @pytest.mark.parametrize(
+    "mu, nu, energy",
+    [(0.0, 2.0, -((1.5 + 0.5j) ** 2)), (1.0, 1.0, -((2.0 + 0.4j) ** 2)), (0.5, 4.5, -((1.2 + 0.3j) ** 2))]
+    + [(2.0, 2.5, -((2.5 + 0.8j) ** 2)), (0.0, 50.0, -((1.5 + 0.5j) ** 2)), (50.0, 50.0, -((1.5 + 0.5j) ** 2))]
+    # zeta = 300; and E = +-sqrt(1.6) at (1, 0), where the signed c2 is 0: a start taken from it
+    # (x = 0.1) drops an x^6 term and is off by 3e-9
+    + [(1.0, 2.0, -(300.0**2)), (1.0, 0.0, 1.6**0.5), (1.0, 0.0, -(1.6**0.5))],
+    ids=["verify0", "verify1", "verify2", "verify3", "deep_well", "mu50_nu50", "zeta300", "c2_zero+", "c2_zero-"],
+)
+def test_regular_start_agrees_with_a_near_start(mu, nu, energy):
+    # the start rule's two-term data is good to the solve tolerance: the solution equals
+    # the same equation started at x = 1e-6, up to one constant; the data is scaled to
+    # u = 1 at each start, so the absolute tolerance is relative to u, not to u' ~ x^(p-1)
+    p = ModelParams(mu, nu)
+    xs = np.linspace(0.2, 1.0, 9)
+
+    def solve(x0):
+        u0, du0 = oracle_mod._regular_data(p, energy, x0)
+        return oracle_mod._at_points(p, energy, x0, xs, 1.0, du0 / u0, 1e-12, 1e-12)[0]
+
+    ratio = solve(oracle_mod._regular_start(p, energy, 1e-10)) / solve(1e-6)
+    assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
+
+
+def test_regular_solution_at_mu_65_against_mpmath():
+    # refused at a start of 1e-5, where 1e-5^65.5 underflows; the start rule's x = 9e-4 serves it
+    p, xs = ModelParams(65.0, 2.0), np.array([0.5, 1.5, 3.0])
+    ratio = integrate_regular(p, -1.0, xs)[0] / mp_regular(p, 1.0, xs)
+    assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize(
     "call",
     [
-        lambda: integrate_regular(ModelParams(65.0, 2.0), -1.0, 2.0),
-        lambda: count_bound_states_shooting(ModelParams(110.0, 0.0)),
+        lambda: integrate_regular(ModelParams(97.0, 2.0), -1.0, 2.0),
+        lambda: count_bound_states_shooting(ModelParams(114.0, 0.0)),
     ],
-    ids=["integrate_regular(mu=65)", "count_bound_states_shooting(mu=110)"],
+    ids=["integrate_regular(mu=97)", "count_bound_states_shooting(mu=114)"],
 )
 def test_regular_data_below_double_range_raises(call):
-    # x0^(1/2+mu) underflows to 0 here (x0 = 1e-5 and 1e-3); from zero data the
+    # x0^(1/2+mu) underflows to 0 here, even at the start rule's x0; from zero data the
     # solve warned "divide by zero" and then never returned
     with pytest.raises(IllConditionedError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate_regular(ModelParams(1.0, 2.0), 1.0, 400.0),
+        lambda: greens_function_oracle(ModelParams(1.0, 2.0), SpectralPoint.interior(0.01 + 1j), 1.0, 400.0),
+    ],
+    ids=["integrate_regular", "greens_function_oracle"],
+)
+def test_far_points_give_a_value_or_refuse_without_overflow(call):
+    # (sinh x cosh x)^2 left double range past x = 177 in V: overflow warnings, then a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call()
+        except HalfScatterError:
+            return
+    assert np.isfinite(value).all()
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.3])
+@pytest.mark.parametrize("x", [1e-160, 1e-200])
+def test_decaying_solve_below_the_range_of_v_refuses_without_overflow(mu, x):
+    # V near the origin, about (mu^2 - 1/4)/x^2, is past double range here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedError):
+            integrate_decaying(ModelParams(mu, 2.0), SpectralPoint.interior(1.5), x)
 
 
 def test_greens_symmetry():
@@ -278,11 +338,8 @@ def test_every_closed_form_has_an_oracle_counterpart():
         const = np.vdot(lv, u) / np.vdot(lv, lv)
         assert np.max(np.abs(u - const * lv) / np.abs(u)) < 1e-7, (mu, nu)
 
-        h = 1e-4
-        m_at = eval_M(p, 2.0, pt)
-        dm = (eval_M(p, 2.0 + h, pt) - eval_M(p, 2.0 - h, pt)) / (2 * h)
-        w_num = (u1 * dm - du1 * m_at) / const
-        assert abs(w_num - wronskian(p, pt)) / abs(w_num) < 1e-7, (mu, nu)
+        w_num = (u1 * eval_derivative(p, 2.0, pt, "M") - du1 * eval_M(p, 2.0, pt)) / const
+        assert abs(w_num - wronskian(p, pt)) / abs(w_num) < 1e-9, (mu, nu)
 
         s_ode = extract_sigma(p, 1.2)
         assert abs(cmath.phase(s_ode / complex(sigma(p, 1.2)))) < 1e-6, (mu, nu)
@@ -312,16 +369,20 @@ def test_every_solve_goes_through_the_module_solve_ivp(monkeypatch):
 
 
 def test_an_oracle_check_table_makes_six_solves_and_no_dense_output(monkeypatch, capsys):
-    # callers read the solution at a few points: no solve builds scipy's dense interpolant
-    seen = []
+    # callers read the solution at a few points: no solve builds scipy's dense interpolant;
+    # regular solves start where their data holds (6,450 rhs calls from x = 1e-5 and 1e-3)
+    seen, nfev = [], []
     solve = oracle_mod.solve_ivp
 
     def recording(*args, **kwargs):
         seen.append(kwargs)
-        return solve(*args, **kwargs)
+        result = solve(*args, **kwargs)
+        nfev.append(result.nfev)
+        return result
 
     monkeypatch.setattr(oracle_mod, "solve_ivp", recording)
     assert main(["oracle-check", "--mu", "1", "--nu", "2", "--zeta", "1.5+0.5j"]) == 0
     assert "fail" not in capsys.readouterr().out
     assert len(seen) == 6
     assert not any(kwargs.get("dense_output") for kwargs in seen)
+    assert sum(nfev) <= 5000
