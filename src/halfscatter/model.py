@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParityError
+from .errors import DomainError, IllConditionedError, ParityError
 
 __all__ = ["ModelParams", "BetaClass", "potential", "reduce_group_indices", "classify_beta"]
 
@@ -22,6 +22,13 @@ def _positive(what: str, v):
     if not ((v > 0) & (v < np.inf)).all():
         raise DomainError(f"{what} must be finite and > 0")
     return float(v) if v.ndim == 0 else v
+
+
+def _integer(what: str, v) -> int:
+    """v as an int if it is a finite integer value (2 or 2.0), else DomainError naming what."""
+    if not float(v).is_integer():
+        raise DomainError(f"{what} must be an integer, got {v}")
+    return int(v)
 
 
 def _finite(what: str, v):
@@ -85,11 +92,16 @@ def potential(params: ModelParams, x):
 
     Written in q = e^(-2x) as (mu^2-1/4) 16 q^2/expm1(-4x)^2 + (mu^2-nu^2) 4 q/(1+q)^2, which
     stays finite where sinh x cosh x leaves double range (x > 177); oracle._rhs uses the same form.
+    Near the origin V ~ (mu^2-1/4)/x^2: IllConditionedError where that term is within a factor 4
+    of double range.  At mu = 1/2 it is 0, and V is finite down to x -> 0.
     """
     x = _positive("x", x)
+    mu2, c = params.mu**2, params.mu**2 - 0.25
+    if np.min(x) <= 2.0 * math.sqrt(abs(c) / np.finfo(float).max):
+        raise IllConditionedError(f"potential leaves double range at x = {np.min(x):g}, mu = {params.mu:g}")
     q = np.exp(-2.0 * x)
-    mu2 = params.mu**2
-    out = (mu2 - 0.25) * 16.0 * q**2 / np.expm1(-4.0 * x) ** 2 + (mu2 - params.nu**2) * 4.0 * q / (1.0 + q) ** 2
+    singular = c * 16.0 * q**2 / np.expm1(-4.0 * x) ** 2 if c else 0.0  # at c = 0, 0/0 below x ~ 1e-162
+    out = singular + (mu2 - params.nu**2) * 4.0 * q / (1.0 + q) ** 2
     return float(out) if out.ndim == 0 else out
 
 

@@ -36,13 +36,16 @@ SHOOT_X_MAX = 25.0  # the shooting count counts nodes up to here
 SHOOT_TOL = 1e-8
 
 
-def _rhs(params: ModelParams, energy):
+def _rhs(params: ModelParams, energy, x_low: float):
     mu2 = params.mu**2
     c0 = 16.0 * (mu2 - 0.25)
     c1 = 4.0 * (mu2 - params.nu**2)
 
-    # y = (u, u'); u'' = (V - E) u, with V in q = e^(-2x) as in model.potential: finite at every x
+    # y = (u, u'); u'' = (V - E) u, with V in q = e^(-2x) as in model.potential: finite at every x.
+    # A stage below the solve's low end comes only from rounding t + c h; it reads V at x_low,
+    # for at the origin V is singular (expm1(-4x) = 0).
     def rhs(x, y):
+        x = max(x, x_low)
         q = math.exp(-2.0 * x)
         r = q / math.expm1(-4.0 * x)
         v = c0 * r * r + c1 * q / ((1.0 + q) * (1.0 + q))
@@ -59,28 +62,27 @@ def solve_ivp(*args, **kwargs):
     return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
-def _integrate(params, energy, span, u0, du0, tol, atol=None, t_eval=None, events=None):
+def _integrate(params, energy, span, u0, du0, tol, atol=None, t_eval=None):
     """Integrate -u'' + V u = E u over span, forward or backward, from (u0, du0)
     at span[0]; scipy's result.  Its y holds (u, u') at t_eval, or at each step when
     t_eval is None.  scipy builds a step's interpolant only where that step holds a
-    point of t_eval or an event.
+    point of t_eval.
 
     The state is real where energy and data are real, else complex.
-    atol defaults to tol times the larger initial magnitude.
+    atol defaults to tol times the larger initial magnitude.  IllConditionedError where
+    the solver's arithmetic overflows or makes a nan: near the origin, where u''/u' ~ 1/x,
+    scipy's error norm squares about 1/(x tol), which leaves double range below x ~ 1e-147
+    at tol 1e-10; at mu = 1/2, 0 times V's singular factor is nan below x ~ 1e-308.
     """
     if atol is None:
         atol = tol * max(abs(u0), abs(du0))
     y0 = np.array([u0, du0], dtype=np.result_type(u0, du0, energy))
-    res = solve_ivp(
-        _rhs(params, energy),
-        span,
-        y0,
-        method="DOP853",
-        t_eval=t_eval,
-        rtol=tol,
-        atol=atol,
-        events=events,
-    )
+    rhs = _rhs(params, energy, min(span))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            res = solve_ivp(rhs, span, y0, method="DOP853", t_eval=t_eval, rtol=tol, atol=atol)
+    except FloatingPointError as exc:
+        raise IllConditionedError(f"integration over ({span[0]:g}, {span[1]:g}) leaves double range: {exc}") from None
     if not res.success:
         raise StepFailureError(f"integration over {span} failed: {res.message}")
     return res
@@ -107,43 +109,31 @@ def _points(what: str, xs, floor: float):
     return xs
 
 
-def _frobenius(params: ModelParams, energy):
-    """(p, V0 - E, V1) of the regular solution u = x^p (1 + c x^2 + c2 x^4 + ...), p = 1/2 + mu,
-    where V = (mu^2 - 1/4)/x^2 + V0 + V1 x^2 + ... at the origin, from
-    4/sinh^2 2x = 1/x^2 - 4/3 + 16x^2/15 - ... and 1/cosh^2 x = 1 - x^2 + ...
-    The recurrence gives c = (V0 - E)/(4p + 2) and c2 = ((V0 - E) c + V1)/(4(2p + 3))."""
-    mu2, d = params.mu**2, params.mu**2 - params.nu**2
-    return 0.5 + params.mu, d - (4.0 / 3.0) * (mu2 - 0.25) - energy, (16.0 / 15.0) * (mu2 - 0.25) - d
+def _regular_data(params: ModelParams, energy, tol: float, x_max: float):
+    """(x0, u(x0), u'(x0)) of a regular solve, from two Frobenius terms u = x^p (1 + c x^2),
+    p = 1/2 + mu.  With V = (mu^2 - 1/4)/x^2 + V0 + V1 x^2 + ... (4/sinh^2 2x = 1/x^2 - 4/3
+    + 16x^2/15 - ..., 1/cosh^2 x = 1 - x^2 + ...), c = (V0 - E)/(4p + 2) and the first dropped
+    term is c2 x^4, c2 = ((V0 - E) c + V1)/(4(2p + 3)); in u' it is (1 + 4/p) times that.
 
-
-def _regular_start(params: ModelParams, energy, tol: float) -> float:
-    """The x where the first term _regular_data drops, c2 x^4 in u and (1 + 4/p) times that
-    in u', is a tenth of tol; at most X0_MAX.  |c2| is bounded by its majorant
-    (|V0 - E| |c| + |V1|)/(4(2p + 3)), so an accidental zero of the signed sum does not
-    push the start out to where the later terms are not small."""
-    p, dv, v1 = _frobenius(params, energy)
-    bound = (1.0 + 4.0 / p) * (abs(dv) ** 2 / (4.0 * p + 2.0) + abs(v1)) / (4.0 * (2.0 * p + 3.0))
-    return min(X0_MAX, (0.1 * tol / bound) ** 0.25) if bound > 0.0 else X0_MAX
-
-
-def _regular_data(params: ModelParams, energy, x0: float):
-    """(u, u') at x0 from the first two Frobenius terms of the regular solution,
-    u = x^p (1 + c x^2) with p = 1/2 + mu and c = (V0 - E)/(4p + 2) (see _frobenius).
-
-    IllConditionedError when u would underflow: from zero data scipy's step loop never ends.
+    x0 is the smallest of x_max, X0_MAX and the x where that term is a tenth of tol, with |c2|
+    bounded by its majorant: an accidental zero of the signed sum would push the start out to
+    where the later terms are not small.  IllConditionedError when u would underflow: from
+    zero data scipy's step loop never ends.
     """
-    p, dv, _ = _frobenius(params, energy)
+    mu2, d = params.mu**2, params.mu**2 - params.nu**2
+    p, dv, v1 = 0.5 + params.mu, d - (4.0 / 3.0) * (mu2 - 0.25) - energy, (16.0 / 15.0) * (mu2 - 0.25) - d
+    bound = (1.0 + 4.0 / p) * (abs(dv) ** 2 / (4.0 * p + 2.0) + abs(v1)) / (4.0 * (2.0 * p + 3.0))
+    x0 = min(x_max, X0_MAX, (0.1 * tol / bound) ** 0.25 if bound > 0.0 else X0_MAX)
     if p * math.log(x0) < -_MAX_LOG_GROWTH:
         raise IllConditionedError(f"regular data {x0:g}^(1/2+mu) underflows at mu = {params.mu:g}")
     cx2 = dv / (4.0 * p + 2.0) * x0**2
-    return x0**p * (1.0 + cx2), x0 ** (p - 1.0) * (p + (p + 2.0) * cx2)
+    return x0, x0**p * (1.0 + cx2), x0 ** (p - 1.0) * (p + (p + 2.0) * cx2)
 
 
 def _check_growth(what: str, params: ModelParams, energy: complex, log_growth: float, x_from: float, x_to: float):
     """IllConditionedError when a solution that grows by e^log_growth from x_from to x_to,
     or its second derivative there, |V(x_to) - E| times as large, would leave double range."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # V is inf or nan below x ~ 1e-154
-        log_peak = log_growth + math.log1p(abs(potential(params, x_to) - energy))
+    log_peak = log_growth + math.log1p(abs(potential(params, x_to) - energy))
     if not log_peak <= _MAX_LOG_GROWTH:
         raise IllConditionedError(
             f"{what} with its second derivative grows to e^{log_peak:.4g} from x = {x_from:g} to {x_to:g}"
@@ -153,8 +143,8 @@ def _check_growth(what: str, params: ModelParams, energy: complex, log_growth: f
 def integrate_regular(params: ModelParams, energy, xs, tol: float = _DEFAULT_TOL):
     """(u(x), u'(x)) at the points xs of the regular solution of -u'' + V u = E u,
     integrated outward to max(xs) from the data u(x0) = x0^(1/2+mu) (1 + c x0^2),
-    two Frobenius terms, at x0 = min(_regular_start at tol, min(xs)): where the
-    terms the data drops are a tenth of tol.
+    two Frobenius terms, at x0 = min(xs) or nearer the origin, where the terms the
+    data drops are a tenth of tol (_regular_data).
 
     Each of u and u' has the shape of xs; points may come in any order and may
     repeat.  The values are real at a real energy and complex otherwise.
@@ -167,9 +157,9 @@ def integrate_regular(params: ModelParams, energy, xs, tol: float = _DEFAULT_TOL
         raise DomainError(f"energy must be finite, got {energy}")
     _positive("tol", tol)
     xs = _points("xs - X0_FINE", xs, X0_FINE)
-    x0, x1 = min(_regular_start(params, energy, tol), xs.min()), xs.max()
+    x0, u0, du0 = _regular_data(params, energy, tol, xs.min())
+    x1 = xs.max()
     _check_growth("regular solution", params, energy, cmath.sqrt(-complex(energy)).real * x1, x0, x1)
-    u0, du0 = _regular_data(params, energy, x0)
     return _at_points(params, energy, x0, xs, u0, du0, tol)
 
 
@@ -229,20 +219,14 @@ def count_bound_states_shooting(params: ModelParams) -> int:
     """Number of nodes of the regular solution at energy just below zero.
 
     By Sturm oscillation this equals the number of eigenvalues.  The solve starts
-    from two Frobenius terms where they hold to a tenth of SHOOT_TOL (_regular_start).
-    Past SHOOT_X_MAX u is close to linear, so a node beyond it shows as u u' < 0
-    at SHOOT_X_MAX.
+    from two Frobenius terms where they hold to a tenth of SHOOT_TOL (_regular_data),
+    and a node is a change of sign of u between two of its steps.  Past SHOOT_X_MAX
+    u is close to linear, so a node beyond it shows as u u' < 0 at SHOOT_X_MAX.
     """
-
-    def node(x, y):
-        return y[0].real
-
     energy = -1e-8
-    x0 = _regular_start(params, energy, SHOOT_TOL)
-    u0, du0 = _regular_data(params, energy, x0)
-    res = _integrate(params, energy, (x0, SHOOT_X_MAX), u0, du0, SHOOT_TOL, events=node)
-    u, du = res.y[:, -1]
-    return len(res.t_events[0]) + int((u * du).real < 0)
+    x0, u0, du0 = _regular_data(params, energy, SHOOT_TOL, SHOOT_X_MAX)
+    u, du = _integrate(params, energy, (x0, SHOOT_X_MAX), u0, du0, SHOOT_TOL).y
+    return int(np.count_nonzero(np.diff(np.signbit(u)))) + int(u[-1] * du[-1] < 0)
 
 
 def greens_function_oracle(params: ModelParams, pt: SpectralPoint, x: float, y: float) -> complex:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureWarning
-from .model import ModelParams, _positive, classify_beta
+from .model import ModelParams, _integer, _positive, classify_beta
 from .solutions import SpectralPoint, eval_L, eval_N, wronskian
 from .specfun import beta_fn, log_gamma_ratio
 
@@ -140,6 +140,7 @@ def quadrature_panels(a: float, b: float, panel_width: float, nodes_per_panel: i
     """Composite Gauss-Legendre nodes and weights on (a, b], for finite a < b and at most
     MAX_QUADRATURE_NODES nodes (else DomainError)."""
     _positive("b - a, panel_width and nodes_per_panel", [b - a, panel_width, nodes_per_panel])
+    nodes_per_panel = _integer("nodes_per_panel", nodes_per_panel)
     n_panels = int(np.ceil(_positive("panel count (b - a)/panel_width", (b - a) / panel_width)))
     if n_panels * nodes_per_panel > MAX_QUADRATURE_NODES:
         raise DomainError(f"{n_panels:.3g} panels of {nodes_per_panel} nodes exceed {MAX_QUADRATURE_NODES:.0e} nodes")

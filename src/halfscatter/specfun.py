@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special as _sc
 
 from .errors import DomainError, IllConditionedError, InvalidCError, NoConvergenceError, PoleError
-from .model import BETA_INT_TOL, _positive
+from .model import BETA_INT_TOL, _integer, _positive
 
 __all__ = [
     "log_gamma",
@@ -75,8 +75,8 @@ def digamma(z) -> complex:
 
 def pochhammer(q, n: int) -> complex:
     """Rising factorial (q)_n = q (q+1) ... (q+n-1), (q)_0 = 1, for an integer n >= 0 (else DomainError)."""
-    if not (n >= 0 and float(n).is_integer()):
-        raise DomainError("pochhammer order must be a nonnegative integer")
+    if _integer("pochhammer order", n) < 0:
+        raise DomainError("pochhammer order must be >= 0")
     out = 1.0 + 0.0j
     q = complex(q)
     for j in range(int(n)):

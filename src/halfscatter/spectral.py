@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtEigenvalueError
-from .model import ModelParams, classify_beta
+from .model import ModelParams, _integer, classify_beta
 from .solutions import SpectralPoint, _bound_state, eval_L, eval_M, wronskian
 from .specfun import _used_rows, gamma_ratio
 
@@ -133,7 +133,7 @@ def eigenfunction(params: ModelParams, n: int, normalized: bool = False):
     here); pass normalized=True for unit L2 norm, from the closed form
     ||M||^2 = n! Gamma(1+zeta_n)^2 Gamma(n+mu+1) / (2 zeta_n Gamma(n+zeta_n+1) Gamma(n+zeta_n+mu+1)).
     """
-    report = bound_states(params)
+    n, report = _integer("eigenfunction index n", n), bound_states(params)
     if not 0 <= n < report.count:
         raise IndexError(f"eigenfunction index {n} out of range (count = {report.count})")
     zeta_n, mu = report.levels[n].zeta, params.mu

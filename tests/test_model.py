@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from halfscatter import index, oracle, scattering
-from halfscatter.errors import DomainError, ParityError
+from halfscatter import index, oracle, scattering, spectral
+from halfscatter.errors import DomainError, IllConditionedError, ParityError
 from halfscatter.model import ModelParams, classify_beta, potential, reduce_group_indices
 from halfscatter.phase import refine_path
 from halfscatter.solutions import SpectralPoint, eval_derivative, eval_L, eval_M, eval_N
@@ -55,6 +55,22 @@ def test_potential_is_finite_far_out():
         warnings.simplefilter("error")
         v = potential(ModelParams(1.0, 2.0), np.array([400.0, 1e4]))
     assert np.all(np.isfinite(v)) and np.all(np.abs(v) < 1e-300)
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.5])
+@pytest.mark.parametrize("x", [1e-150, 1e-160, 1e-200, 1e-320])
+def test_potential_near_the_origin_is_finite_or_refuses(mu, x):
+    # V ~ (mu^2 - 1/4)/x^2 left double range with overflow warnings at mu = 1, and at
+    # mu = 1/2, where that term is 0 and V -> -3.75, came out nan
+    p = ModelParams(mu, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if mu == 1.0 and x < 1e-154:
+            with pytest.raises(IllConditionedError):
+                potential(p, x)
+            return
+        v = potential(p, x)
+    assert v == pytest.approx(-3.75 if mu == 0.5 else 0.75 / x / x, rel=1e-12)
 
 
 def test_potential_domain():
@@ -171,6 +187,8 @@ OTHER_CASES = {
     "integrate_decaying(xs=[])": lambda: oracle.integrate_decaying(P, PT, []),
     "pochhammer(n=-1)": lambda: pochhammer(1.0, -1),
     "pochhammer(n=0.5)": lambda: pochhammer(1.0, 0.5),
+    "eigenfunction(n=1.5)": lambda: spectral.eigenfunction(ModelParams(0.0, 5.0), 1.5),
+    "quadrature_panels(nodes_per_panel=2.5)": lambda: scattering.quadrature_panels(0.0, 1.0, 1.0, 2.5),
     "refine_path(one node)": lambda: refine_path(np.exp, [0.0]),
 }
 ARGUMENT_CASES = [

@@ -254,11 +254,11 @@ def test_regular_start_agrees_with_a_near_start(mu, nu, energy):
     p = ModelParams(mu, nu)
     xs = np.linspace(0.2, 1.0, 9)
 
-    def solve(x0):
-        u0, du0 = oracle_mod._regular_data(p, energy, x0)
+    def solve(x_max):
+        x0, u0, du0 = oracle_mod._regular_data(p, energy, 1e-10, x_max)
         return oracle_mod._at_points(p, energy, x0, xs, 1.0, du0 / u0, 1e-12, 1e-12)[0]
 
-    ratio = solve(oracle_mod._regular_start(p, energy, 1e-10)) / solve(1e-6)
+    ratio = solve(oracle_mod.X0_MAX) / solve(1e-6)
     assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
 
 
@@ -311,6 +311,29 @@ def test_decaying_solve_below_the_range_of_v_refuses_without_overflow(mu, x):
         warnings.simplefilter("error")
         with pytest.raises(IllConditionedError):
             integrate_decaying(ModelParams(mu, 2.0), SpectralPoint.interior(1.5), x)
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.500001])
+@pytest.mark.parametrize("x", [1e-20, 1e-40, 1e-150, 1e-300])
+def test_solves_near_mu_one_half_match_the_closed_form_or_refuse(mu, x):
+    # V's singular term is 0 or tiny here, so no growth check refuses: a DOP853 stage that
+    # rounded to x = 0 divided by expm1(0) = 0, and near x = 1e-150 scipy's error norm overflowed.
+    # At mu = 1/2 V is finite down to the origin, and the decaying solve serves every x.
+    p, pt = ModelParams(mu, 2.0), SpectralPoint.interior(1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            u, _ = integrate_decaying(p, pt, [x, 1.0])
+        except HalfScatterError:
+            assert mu != 0.5
+        else:
+            assert abs(u[0] / u[1] / (eval_M(p, x, pt) / eval_M(p, 1.0, pt)) - 1.0) < 1e-9
+        try:
+            g = greens_function_oracle(p, pt, x, x)
+        except HalfScatterError:
+            pass  # the regular solve serves points above X0_FINE alone
+        else:
+            assert abs(g / resolvent_kernel(p, pt, x, x) - 1.0) < 1e-6
 
 
 def test_greens_symmetry():
@@ -385,4 +408,5 @@ def test_an_oracle_check_table_makes_six_solves_and_no_dense_output(monkeypatch,
     assert "fail" not in capsys.readouterr().out
     assert len(seen) == 6
     assert not any(kwargs.get("dense_output") for kwargs in seen)
+    assert not any("events" in kwargs for kwargs in seen)
     assert sum(nfev) <= 5000
