@@ -90,18 +90,21 @@ def classify_beta(params: ModelParams) -> BetaClass:
 def potential(params: ModelParams, x):
     """Potential value (mu^2-1/4)/(sinh^2 x cosh^2 x) + (mu^2-nu^2)/cosh^2 x, finite x > 0.
 
-    Written in q = e^(-2x) as (mu^2-1/4) 16 q^2/expm1(-4x)^2 + (mu^2-nu^2) 4 q/(1+q)^2, which
+    Written in q = e^(-2x) as (mu^2-1/4) 16 (q/expm1(-4x))^2 + (mu^2-nu^2) 4 q/(1+q)^2, which
     stays finite where sinh x cosh x leaves double range (x > 177); oracle._rhs uses the same form.
+    mu^2-1/4 is formed as (mu-1/2)(mu+1/2), which keeps its digits near mu = 1/2.
     Near the origin V ~ (mu^2-1/4)/x^2: IllConditionedError where that term is within a factor 4
     of double range.  At mu = 1/2 it is 0, and V is finite down to x -> 0.
     """
     x = _positive("x", x)
-    mu2, c = params.mu**2, params.mu**2 - 0.25
+    mu2, c = params.mu**2, (params.mu - 0.5) * (params.mu + 0.5)
     if np.min(x) <= 2.0 * math.sqrt(abs(c) / np.finfo(float).max):
         raise IllConditionedError(f"potential leaves double range at x = {np.min(x):g}, mu = {params.mu:g}")
     q = np.exp(-2.0 * x)
-    singular = c * 16.0 * q**2 / np.expm1(-4.0 * x) ** 2 if c else 0.0  # at c = 0, 0/0 below x ~ 1e-162
-    out = singular + (mu2 - params.nu**2) * 4.0 * q / (1.0 + q) ** 2
+    out = (mu2 - params.nu**2) * 4.0 * q / (1.0 + q) ** 2
+    if c:  # at c = 0 the term is 0, and r is inf below x ~ 1e-308
+        r = q / np.expm1(-4.0 * x)  # squared as a product: expm1(-4x)^2 is subnormal below x ~ 3.7e-155
+        out = c * 16.0 * r * r + out
     return float(out) if out.ndim == 0 else out
 
 

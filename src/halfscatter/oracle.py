@@ -51,7 +51,12 @@ def _rhs(params: ModelParams, energy, x_low: float):
         v = c0 * r * r + c1 * q / ((1.0 + q) * (1.0 + q))
         return (y[1], (v - energy) * y[0])
 
-    return rhs
+    # at mu = 1/2 the singular term is 0, and 0 times r = inf (x below ~1e-308) would be nan
+    def smooth(x, y):
+        q = math.exp(-2.0 * x)
+        return (y[1], (c1 * q / ((1.0 + q) * (1.0 + q)) - energy) * y[0])
+
+    return rhs if c0 else smooth
 
 
 def solve_ivp(*args, **kwargs):
@@ -72,7 +77,7 @@ def _integrate(params, energy, span, u0, du0, tol, atol=None, t_eval=None):
     atol defaults to tol times the larger initial magnitude.  IllConditionedError where
     the solver's arithmetic overflows or makes a nan: near the origin, where u''/u' ~ 1/x,
     scipy's error norm squares about 1/(x tol), which leaves double range below x ~ 1e-147
-    at tol 1e-10; at mu = 1/2, 0 times V's singular factor is nan below x ~ 1e-308.
+    at tol 1e-10.
     """
     if atol is None:
         atol = tol * max(abs(u0), abs(du0))
@@ -236,11 +241,10 @@ def greens_function_oracle(params: ModelParams, pt: SpectralPoint, x: float, y: 
     -(u_r(lo)/u_r(hi)) / (u_d'/u_d - u_r'/u_r)(hi): the arbitrary normalizations of the
     two integrations cancel, and no product of two large solutions is formed.  The
     regular solve reads both points; the decaying solve reads max(x, y) alone.  Raises
-    IllConditionedError where either solve would leave double range.  x, y must be
-    finite and > 0 (DomainError).
+    IllConditionedError where either solve would leave double range.  x and y must be
+    finite and > X0_FINE, the regular solve's floor (DomainError, before any solve).
     """
-    _positive("x and y", [x, y])
-    lo, hi = min(x, y), max(x, y)
+    lo, hi = sorted(_points(f"x - X0_FINE and y - X0_FINE (x = {x}, y = {y})", [x, y], X0_FINE))
     zeta = complex(pt.zeta)
     u_d, du_d = integrate_decaying(params, pt, hi)
     (u_r_lo, u_r), (_, du_r) = integrate_regular(params, -(zeta**2), [lo, hi])

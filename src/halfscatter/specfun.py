@@ -142,36 +142,46 @@ def bessel_script_J(mu: float, x) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gauss 2F1 core.  Every helper takes a, b, c once per row (1-D arrays) and,
-# per lane, the argument and the index of the lane's row.  Branch tests, gamma
-# products and series ratios are formed per row; every series stops per lane,
-# so a lane's value does not depend on the other lanes.
+# Gauss 2F1 core.  Every helper takes a, b, c once per row (1-D arrays) and
+# the lanes as sorted runs: counts[i] lanes of row i, then those of row i+1,
+# with per lane the argument.  A per-row array reaches its lanes by
+# np.repeat(v, counts), an exact copy, so each lane gets the values that its
+# own parameters give.  The runs stay sorted: hyp2f1_values lays a block out
+# row after row, every branch mask and every stop compaction keeps lanes in
+# order, and _linear_transform's second series follows its first.  Branch
+# tests, gamma products and series ratios are formed per row; every series
+# stops per lane, so a lane's value does not depend on the other lanes.
 
 
-def _used_rows(params, row):
-    """The rows of params that some lane uses, then each lane's index among them."""
-    used = np.zeros(params[0].shape, dtype=bool)
-    used[row] = True
-    if used.all():  # a scatter and a test: cheap where a call has one row
-        return (*params, row)
-    return (*(p[used] for p in params), (np.cumsum(used) - 1)[row])
+def _runs(counts, keep):
+    """The run lengths of the lanes that the lane mask keep selects, for runs of counts > 0 lanes."""
+    return np.add.reduceat(keep, counts.cumsum() - counts, dtype=np.intp)
 
 
-def _sum_lanes(ratios, params, row, w, coef, g, total, max_terms, what):
+def _used_rows(params, counts):
+    """The rows of params that hold some lane, then their run lengths."""
+    if np.count_nonzero(counts) == counts.size:
+        return (*params, counts)
+    used = counts > 0
+    return (*(p[used] for p in params), counts[used])
+
+
+def _sum_lanes(ratios, params, counts, w, coef, g, total, max_terms, what):
     """Sum one series per lane, total + sum_n coef_n g_n.
 
     coef_n = coef_(n-1) rho_n w and g_n = g_(n-1) + delta_n, where
     ratios(j, params) gives rho and delta (None: g stays 1) for the term
     indices j as arrays of shape (len(j), rows).  params holds the series
-    parameters once per row and row the row of each lane; each row's rho and
-    delta are taken to its lanes (no take while every row has one lane), so
-    a lane gets the values that its own parameters give.  Rows without an
-    active lane are dropped.
+    parameters once per row and counts the length of each row's run of
+    lanes; np.repeat spreads each row's rho and delta over its run (no
+    spread while every row has one lane).  Rows without an active lane are
+    dropped.
 
     Terms come in chunks of _CHUNK_TERMS, counted from term 0 for every lane.
     A lane stops at the end of the first chunk whose last three terms are
-    each at most 1e-16 of its partial sum, and leaves the working set there;
-    the hard cap guards slow convergence near w -> 1.  The products and sums
+    each at most 1e-16 of its partial sum, and leaves the working set there,
+    which keeps the remaining lanes in order and so their runs sorted; the
+    hard cap guards slow convergence near w -> 1.  The products and sums
     run term by term, so a lane's partial sums depend on neither the lane
     count nor the other lanes.  rho w is formed for as many terms at once as
     fit in BLOCK_LANES entries: a whole chunk while few lanes are active,
@@ -184,7 +194,7 @@ def _sum_lanes(ratios, params, row, w, coef, g, total, max_terms, what):
     out = np.empty(total.shape, dtype=complex)
     lanes = np.arange(total.size)
     w = w.astype(complex)  # the cast that a product with real w makes, once
-    *params, row = _used_rows(params, row)
+    *params, counts = _used_rows(params, counts)
     n = 0
     while lanes.size:
         if n >= max_terms:
@@ -192,12 +202,14 @@ def _sum_lanes(ratios, params, row, w, coef, g, total, max_terms, what):
         j = n + np.arange(min(_CHUNK_TERMS, max_terms - n))
         n += j.size
         rho, delta = ratios(j[:, None], params)
-        take = row if params[0].size < lanes.size else slice(None)
+        spread = counts.size < lanes.size  # else every row has one lane: its values are in place
         span = BLOCK_LANES // lanes.size or 1  # terms of rho w per product: a whole chunk unless lanes are many
         small = np.ones(lanes.size, dtype=bool)
         for s in range(0, j.size, span):
-            rw = rho[s : s + span, take] * w
-            dg = None if delta is None else delta[s : s + span, take]
+            rw, dg = rho[s : s + span], None if delta is None else delta[s : s + span]
+            if spread:
+                rw, dg = rw.repeat(counts, axis=1), None if dg is None else dg.repeat(counts, axis=1)
+            rw = rw * w
             last = j.size - 3 - s
             for i in range(len(rw)):
                 coef = coef * rw[i]
@@ -217,11 +229,11 @@ def _sum_lanes(ratios, params, row, w, coef, g, total, max_terms, what):
             keep = ~small
             lanes, coef, total, w = lanes[keep], coef[keep], total[keep], w[keep]
             g = None if g is None else g[keep]
-            *params, row = _used_rows(params, row[keep])
+            *params, counts = _used_rows(params, _runs(counts, keep))
     return out
 
 
-def _raw_series(a, b, c, row, w, max_terms=MAX_TERMS):
+def _raw_series(a, b, c, counts, w, max_terms=MAX_TERMS):
     """Defining power series of F(a,b;c;w) per lane, real w in [0,1)."""
 
     def ratios(j, params):
@@ -229,27 +241,27 @@ def _raw_series(a, b, c, row, w, max_terms=MAX_TERMS):
         return (a + j) * (b + j) / ((c + j) * (j + 1.0)), None
 
     one = np.ones(w.shape, dtype=complex)
-    return _sum_lanes(ratios, [a, b, c], row, w, one, None, one, max_terms, "2F1 series")
+    return _sum_lanes(ratios, [a, b, c], counts, w, one, None, one, max_terms, "2F1 series")
 
 
-def _terminating_series(a, b, c, row, w, n_terms):
+def _terminating_series(a, b, c, counts, w, n_terms):
     """The series of F(a,b;c;w) through its w^n_terms term: the exact sum when
     a or b sits at the nonpositive integer -n_terms."""
     term = np.ones(w.shape, dtype=complex)
     total = np.ones(w.shape, dtype=complex)
     for n in range(n_terms):
-        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0)))[row] * w
+        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))).repeat(counts) * w
         total = total + term
     return total
 
 
-def _linear_transform(a, b, c, row, w, log_w):
+def _linear_transform(a, b, c, counts, w, log_w):
     """z -> 1-z connection formula per lane, valid when c-a-b is not an integer.
 
     Takes w = 1-z together with its exact logarithm so that the caller can
     supply log(1-z) analytically; forming 1-z in floating point near z = 1
     destroys the phase of the w^(c-a-b) factor.  A term whose gamma
-    prefactor vanishes is not summed.
+    prefactor vanishes is not summed: its rows keep runs of no lanes.
 
     A mirrored row, real c with c-a = conj(b) (the regular solution on the
     boundary), has c-b = conj(a) and c-a-b imaginary, so the second term's
@@ -265,23 +277,23 @@ def _linear_transform(a, b, c, row, w, log_w):
         p2 = np.conj(p1)
     else:
         p2 = np.where(mirror, np.conj(p1), gamma_ratio((c, -d), (a, b)))
-    s1, s2 = (p1 != 0)[row], (p2 != 0)[row]
-    sum2 = s2 & ~mirror[row]
+    terms = p1 != 0, p2 != 0, (p2 != 0) & ~mirror  # per row: the terms formed, the second series summed
+    n1, n2, n3 = (counts * t for t in terms)
+    s1, s2, sum2 = (t.repeat(counts) for t in terms)
     # both series share one set of lanes, so one loop sums them; the second's rows follow the first's
     rows = [np.concatenate(v) for v in ([a, ca], [b, cb], [a + b - c + 1.0, d + 1.0])]
-    f = _raw_series(*rows, np.concatenate([row[s1], row[sum2] + a.size]), np.concatenate([w[s1], w[sum2]]))
-    n1 = np.count_nonzero(s1)
+    f = _raw_series(*rows, np.concatenate([n1, n3]), np.concatenate([w[s1], w[sum2]]))
+    k1 = np.count_nonzero(s1)
     f2 = np.empty(w.shape, dtype=complex)
-    f2[s1] = np.conj(f[:n1])  # the second series of a mirrored lane
-    f2[sum2] = f[n1:]
+    f2[s1] = np.conj(f[:k1])  # the second series of a mirrored lane
+    f2[sum2] = f[k1:]
     out = np.zeros(w.shape, dtype=complex)
-    out[s1] += p1[row[s1]] * f[:n1]
-    r2 = row[s2]
-    out[s2] += p2[r2] * np.exp(d[r2] * log_w[s2]) * f2[s2]
+    out[s1] += p1.repeat(n1) * f[:k1]
+    out[s2] += p2.repeat(n2) * np.exp(d.repeat(n2) * log_w[s2]) * f2[s2]
     return out
 
 
-def _log_case(a, b, c, row, w, log_w, m):
+def _log_case(a, b, c, counts, w, log_w, m):
     """F(a,b;a+b+m;z) per lane for one integer m >= 0 near z = 1 (DLMF 15.8.10).
 
     A finite sum of m terms plus a logarithmic digamma series; m = 0 is the
@@ -290,27 +302,28 @@ def _log_case(a, b, c, row, w, log_w, m):
     """
     out = np.zeros(w.shape, dtype=complex)
     if m > 0:  # the finite part: F(a, b; 1-m; w) cut after m terms
-        out = gamma_ratio((float(m), c), (a + m, b + m))[row] * _terminating_series(a, b, 1.0 - m, row, w, m - 1)
+        finite = _terminating_series(a, b, 1.0 - m, counts, w, m - 1)
+        out = gamma_ratio((float(m), c), (a + m, b + m)).repeat(counts) * finite
 
     pref = gamma_ratio((c,), (a, b))
-    s = (pref != 0)[row]
-    am, bm, r, w, lw = a + m, b + m, row[s], w[s], log_w[s]
-    pref = -((-1.0) ** m) * pref[r] * np.exp(m * lw).astype(complex)
+    s, runs = (pref != 0).repeat(counts), counts * (pref != 0)
+    am, bm, w, lw = a + m, b + m, w[s], log_w[s]
+    pref = -((-1.0) ** m) * pref.repeat(runs) * np.exp(m * lw).astype(complex)
     coef = np.full(w.shape, 1.0 / float(_sc.factorial(m)), dtype=complex)
-    g = lw - _sc.psi(1.0) - _sc.psi(m + 1.0) + _sc.psi(am)[r] + _sc.psi(bm)[r]
+    g = lw - _sc.psi(1.0) - _sc.psi(m + 1.0) + _sc.psi(am).repeat(runs) + _sc.psi(bm).repeat(runs)
 
     def ratios(j, params):
         am, bm = params
         rho = (am + j) * (bm + j) / ((j + 1.0) * (j + m + 1.0))
         return rho, 1.0 / (am + j) + 1.0 / (bm + j) - (1.0 / (j + 1.0) + 1.0 / (j + m + 1.0))
 
-    total = _sum_lanes(ratios, [am, bm], r, w, coef, g, coef * g, MAX_TERMS, f"logarithmic 2F1 series (m={m})")
+    total = _sum_lanes(ratios, [am, bm], runs, w, coef, g, coef * g, MAX_TERMS, f"logarithmic 2F1 series (m={m})")
     out[s] += pref * total
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a value past double range is inf or nan in its lane
-def _block(a, b, c, row, z, log_w):
+def _block(a, b, c, counts, z, log_w):
     """One block of lanes, each sent to its branch: the terminating sum when a
     or b is a nonpositive integer, the raw series up to the threshold, and
     above it the connection formula or, grouped by integer gap m = c-a-b, the
@@ -326,27 +339,27 @@ def _block(a, b, c, row, z, log_w):
     if np.count_nonzero(nonpos[1:3]):
         degree = np.where(nonpos[1:3], -r[1:3], np.inf).min(axis=0)
         for d in np.unique(degree[degree <= MAX_TERMS]):
-            s = (degree == d)[row]
-            out[s] = _terminating_series(*_used_rows((a, b, c), row[s]), z[s], int(d))
-        poly = (degree <= MAX_TERMS)[row]
+            s = (degree == d).repeat(counts)
+            out[s] = _terminating_series(*_used_rows((a, b, c), counts * (degree == d)), z[s], int(d))
+        poly = (degree <= MAX_TERMS).repeat(counts)
     low = ~poly & (z <= SERIES_THRESHOLD)
     if np.count_nonzero(low):
-        out[low] = _raw_series(a, b, c, row[low], z[low])
+        out[low] = _raw_series(a, b, c, _runs(counts, low), z[low])
     high = ~poly & ~low
     if not np.count_nonzero(high):
         return out
-    gap, m = near[3][row], r[3][row]
+    gap, m = near[3].repeat(counts), r[3].repeat(counts)
     s = high & ~gap
     if np.count_nonzero(s):
-        out[s] = _linear_transform(*_used_rows((a, b, c), row[s]), np.exp(log_w[s]), log_w[s])
+        out[s] = _linear_transform(*_used_rows((a, b, c), _runs(counts, s)), np.exp(log_w[s]), log_w[s])
     for mm in sorted(set(m[high & gap].tolist())):
         s = high & gap & (m == mm)
-        ra, rb, rc, r = _used_rows((a, b, c), row[s])
+        ra, rb, rc, n = _used_rows((a, b, c), _runs(counts, s))
         lw = log_w[s]
         if mm >= 0:
-            out[s] = _log_case(ra, rb, rc, r, np.exp(lw), lw, int(mm))
+            out[s] = _log_case(ra, rb, rc, n, np.exp(lw), lw, int(mm))
         else:
-            out[s] = np.exp((rc - ra - rb)[r] * lw) * _log_case(rc - ra, rc - rb, rc, r, np.exp(lw), lw, -int(mm))
+            out[s] = np.exp((rc - ra - rb).repeat(n) * lw) * _log_case(rc - ra, rc - rb, rc, n, np.exp(lw), lw, -int(mm))
     return out
 
 
@@ -408,9 +421,9 @@ def hyp2f1_values(a, b, c, z, log_w=None):
             part = table[r : r + step, s : s + cut]
             lanes = (*at, slice(s, s + cut))
             first = (*at, slice(0, 1)) if by_row else lanes  # the parameters of each row: its first lane
-            row = np.arange(part.size) // (part.shape[1] if by_row else 1)
             params = [v[first].reshape(-1) for v in views[:3]]
-            part[...] = _block(*params, row, *(v[lanes].reshape(-1) for v in views[3:])).reshape(part.shape)
+            counts = np.full(params[0].size, part.size // params[0].size)  # equal runs, row after row
+            part[...] = _block(*params, counts, *(v[lanes].reshape(-1) for v in views[3:])).reshape(part.shape)
     if not np.isfinite(out).all():
         raise IllConditionedError("hyp2f1 value not finite in double precision")
     out = out.reshape(shape)

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import AtEigenvalueError
 from .model import ModelParams, _integer, classify_beta
 from .solutions import SpectralPoint, _bound_state, eval_L, eval_M, wronskian
-from .specfun import _used_rows, gamma_ratio
+from .specfun import gamma_ratio
 
 __all__ = [
     "BoundStateLevel",
@@ -46,6 +46,13 @@ def _union(x, y):
     return pts, inv[: x.size], inv[x.size :], x.shape
 
 
+def _used(pts, at):
+    """The points of pts that the indices at use, in order, then each index's place among them."""
+    used = np.zeros(pts.size, dtype=bool)
+    used[at] = True
+    return pts[used], (np.cumsum(used) - 1)[at]
+
+
 def _shaped(out, shape):
     out = out.reshape(shape)
     return complex(out) if out.ndim == 0 else out
@@ -63,8 +70,8 @@ def resolvent_kernel(params: ModelParams, pt: SpectralPoint, x, y):
     if not pt.is_boundary and _bound_state(params, pt.zeta) >= 0:
         raise AtEigenvalueError(f"Wronskian vanishes at zeta = {pt.zeta}")
     pts, ix, iy, shape = _union(x, y)
-    lo, lo_at = _used_rows((pts,), np.minimum(ix, iy))  # the points that are some min, in order
-    hi, hi_at = _used_rows((pts,), np.maximum(ix, iy))
+    lo, lo_at = _used(pts, np.minimum(ix, iy))  # the points that are some min, in order
+    hi, hi_at = _used(pts, np.maximum(ix, iy))
     return _shaped(-eval_L(params, lo, pt)[lo_at] * eval_M(params, hi, pt)[hi_at] / w, shape)
 
 

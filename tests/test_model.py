@@ -73,6 +73,16 @@ def test_potential_near_the_origin_is_finite_or_refuses(mu, x):
     assert v == pytest.approx(-3.75 if mu == 0.5 else 0.75 / x / x, rel=1e-12)
 
 
+@pytest.mark.parametrize("mu, x", [(0.5 + 1.2e-16, 2e-162), (0.5 + 1e-12, 1e-158)])
+def test_potential_where_expm1_squared_is_subnormal_against_mpmath(mu, x):
+    # expm1(-4x)^2 is subnormal below x ~ 3.7e-155: dividing by it lost 3.6e-3 and 9e-10 here
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        m, t = mp.mpf(mu), mp.mpf(x)
+        ref = (m * m - mp.mpf(0.25)) / (mp.sinh(t) * mp.cosh(t)) ** 2 + (m * m - 4) / mp.cosh(t) ** 2
+        assert abs((potential(ModelParams(mu, 2.0), x) - ref) / ref) < 1e-14
+
+
 def test_potential_domain():
     with pytest.raises(DomainError):
         potential(ModelParams(1, 1), 0.0)

@@ -10,7 +10,7 @@ import pytest
 import halfscatter.oracle as oracle_mod
 from conftest import mp_regular, mp_resolvent
 from halfscatter.cli import main
-from halfscatter.errors import HalfScatterError, IllConditionedError
+from halfscatter.errors import DomainError, HalfScatterError, IllConditionedError
 from halfscatter.model import ModelParams
 from halfscatter.oracle import (
     count_bound_states_shooting,
@@ -334,6 +334,27 @@ def test_solves_near_mu_one_half_match_the_closed_form_or_refuse(mu, x):
             pass  # the regular solve serves points above X0_FINE alone
         else:
             assert abs(g / resolvent_kernel(p, pt, x, x) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("x", [1e-320, 5e-324])
+def test_decaying_solve_at_mu_one_half_serves_the_smallest_doubles(x):
+    # V's singular term is 0 at mu = 1/2; 0 times its factor, inf below x ~ 1e-308, was nan
+    p, pt = ModelParams(0.5, 2.0), SpectralPoint.interior(1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, du = integrate_decaying(p, pt, [x, 1.0])
+    assert np.isfinite(u).all() and np.isfinite(du).all()
+    assert abs(u[0] / u[1] / (eval_M(p, 1e-300, pt) / eval_M(p, 1.0, pt)) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("x, y", [(1e-20, 1e-20), (1.0, oracle_mod.X0_FINE), (oracle_mod.X0_FINE / 2, 2.0)])
+def test_greens_refuses_points_at_the_regular_floor_before_any_solve(monkeypatch, x, y):
+    # the decaying solve ran first, then the regular solve refused with a message naming xs
+    calls = []
+    monkeypatch.setattr(oracle_mod, "solve_ivp", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(DomainError, match=f"x - X0_FINE and y - X0_FINE \\(x = {x}, y = {y}\\)"):
+        greens_function_oracle(ModelParams(0.5, 2.0), SpectralPoint.interior(1.5), x, y)
+    assert calls == []
 
 
 def test_greens_symmetry():

@@ -26,8 +26,8 @@ from halfscatter.specfun import (
 
 
 def _row(*params):
-    # scalar parameters as one row of the 2F1 core, then the row index of one lane
-    return (*(np.array([p]) for p in params), np.zeros(1, dtype=int))
+    # scalar parameters as one row of the 2F1 core, then its run of one lane
+    return (*(np.array([p]) for p in params), np.ones(1, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_2f1_errors_per_lane():
     with pytest.raises(ValueError):
         hyp2f1_values(a, b, 1.5, np.array([0.3, -0.1]))
     with pytest.raises(NoConvergenceError):
-        _raw_series(a, b, np.array([1.0, 1.0]), np.arange(2), np.array([0.1, 0.999999]), max_terms=60)
+        _raw_series(a, b, np.array([1.0, 1.0]), np.ones(2, dtype=int), np.array([0.1, 0.999999]), max_terms=60)
 
 
 @pytest.mark.parametrize("mu, nu", [(0, 3), (1, 1), (0.6, 0.55), (20, 0.3)])
@@ -292,9 +292,9 @@ def test_mirrored_lanes_against_mpmath(mu, nu):
     k = np.repeat([0.05, 0.5, 1.0, 3.0, 7.5, 15.0, 25.0, 40.0], 6)
     w = np.tile([1e-6, 1e-3, 0.01, 0.1, 0.25, 0.4], 8)
     a, b, c = al + 0.5j * k, be + 0.5j * k, np.full(k.shape, 1.0 + mu)
-    mirrored = _linear_transform(a, b, c, np.arange(k.size), w, np.log(w))
+    mirrored = _linear_transform(a, b, c, np.ones(k.size, dtype=int), w, np.log(w))
     # an imaginary part of c far below rounding turns the rule off: both series summed
-    both = _linear_transform(a, b, c + 1e-300j, np.arange(k.size), w, np.log(w))
+    both = _linear_transform(a, b, c + 1e-300j, np.ones(k.size, dtype=int), w, np.log(w))
     for i in range(k.size):
         with mp.workdps(40):
             A, B, C, W = mp.mpc(a[i]), mp.mpc(b[i]), mp.mpf(c[i]), mp.mpf(w[i])
@@ -332,6 +332,31 @@ def test_2f1_grid_equals_one_lane_calls():
     grid = hyp2f1_values(a, b, c, z, log_w=log_w)
     alone = np.array([hyp2f1_values(a[i], b[i], c[i], z[i], log_w=log_w[i]) for i in range(z.size)])
     assert np.array_equal(grid, alone)
+
+
+def test_2f1_block_of_mixed_rows_equals_each_row_alone():
+    # one block of (R, 1) parameters against an (R, C) argument, each row with its own number
+    # of lanes above the threshold, so every branch gets runs of unequal length
+    mu, nu = 0.6, 0.55
+    al, be = (1 + mu + nu) / 2, (1 + mu - nu) / 2
+    rows = [
+        (al + 1.5j, be + 1.5j, 1 + mu),  # mirrored
+        (al + (2 + 1j) / 2, be + (2 + 1j) / 2, 3 + 1j),  # not mirrored
+        (2.5 + 0.3j, 0.7 - 0.2j, 0.5 + 0.3j),  # c - a = -2: the first connection term vanishes
+        (al + 12.5j, be + 12.5j, 1 + mu),  # mirrored, large k
+        (_A, _B, _A + _B + 1.0),  # integer gap: log form
+        (-3.0, 1.7 - 0.4j, 2.2),  # terminating
+        (_A, _B, _A + _B - 2.0),  # negative integer gap: log form after Euler's transformation
+        (0.4 + 0.8j, 1.1 - 0.3j, 1.7 + 0.2j),  # not mirrored
+    ]
+    high = [2, 5, 3, 1, 4, 6, 7, 0]  # lanes above the threshold, of 7 per row
+    rng = np.random.default_rng(17)
+    z = np.array([np.sort(np.where(np.arange(7) < n, rng.uniform(0.61, 0.995, 7), rng.uniform(0.0, 0.6, 7))) for n in high])
+    a, b, c = (np.array([[r[i]] for r in rows]) for i in range(3))
+    log_w = np.log1p(-z)
+    grid = hyp2f1_values(a, b, c, z, log_w=log_w)
+    for i in range(len(rows)):
+        assert np.array_equal(grid[i], hyp2f1_values(*rows[i], z[i], log_w=log_w[i]))
 
 
 def _boundary_lanes(k, x, mu=0.6, nu=0.55):
