@@ -38,7 +38,7 @@ SHOOT_TOL = 1e-8
 
 def _rhs(params: ModelParams, energy, x_low: float):
     mu2 = params.mu**2
-    c0 = 16.0 * (mu2 - 0.25)
+    c0 = 16.0 * (params.mu - 0.5) * (params.mu + 0.5)  # model.potential's form, which keeps the digits of mu - 1/2
     c1 = 4.0 * (mu2 - params.nu**2)
 
     # y = (u, u'); u'' = (V - E) u, with V in q = e^(-2x) as in model.potential: finite at every x.

@@ -100,28 +100,49 @@ def _not_finite(zeta):
     return IllConditionedError(f"solution not finite in double precision (|zeta| up to {np.max(np.abs(zeta)):.6g})")
 
 
-def _solution(params: ModelParams, x, zeta, sign: int, regular: bool, derivative: bool = False):
+def _kind(params: ModelParams, zeta, sign: int, regular: bool):
+    """One kind's 2F1 parameters a, b, c and its exponent -sign zeta, formed from Python scalars."""
+    a = params.alpha + sign * zeta / 2.0
+    b = params.beta + sign * zeta / 2.0
+    c = 1.0 + params.mu if regular else 1.0 + sign * zeta
+    return a, b, c, -sign * zeta
+
+
+def _solution(params: ModelParams, x, zeta, sign, regular, derivative: bool = False):
     """Shared closed form (tanh x)^(1/2+mu) (cosh x)^(-sign zeta) F(alpha + sign zeta/2,
     beta + sign zeta/2; c; w), with F in w = tanh^2 x (regular: c = 1+mu) or in
     w = sech^2 x (c = 1 + sign zeta).  x and zeta broadcast against each other.
+    sign and regular choose the kind (L, M or N).  At a scalar zeta they may
+    be arrays that broadcast against x, one kind per lane, so that one
+    hyp2f1_values call serves several kinds: each kind's a, b, c and
+    -sign zeta are formed as for that kind alone and then placed on its
+    lanes, and w and log(1-w) are chosen per lane from whole-array results,
+    so each lane's value equals its point evaluated with its kind alone, bit
+    for bit (a derivative's ab/c is then formed per lane, in numpy).
     For M at a scalar zeta where b = beta + zeta/2 = -n, F is
     n!/(1+zeta)_n P_n^(zeta, mu)(1 - 2 sech^2 x) (DLMF 15.9.1): the Jacobi
-    polynomial does not cancel near x = 0 as the sum in sech^2 x does.
+    polynomial does not cancel near x = 0 as the sum in sech^2 x does.  Only
+    a scalar kind takes that form; resolvent_kernel, the caller with one kind
+    per lane, refuses a bound state first.
     With derivative, d/dx of the same: F'(w) = (ab/c) F(a+1, b+1; c+1; w)
-    (DLMF 15.5.1), or at a bound state dP_n^(p, q)/dt = (n+p+q+1)/2 P_(n-1)^(p+1, q+1)
-    (DLMF 18.9.15).
+    (DLMF 15.5.1), the shifted row of the same hyp2f1_values call, or at a
+    bound state dP_n^(p, q)/dt = (n+p+q+1)/2 P_(n-1)^(p+1, q+1) (DLMF 18.9.15).
     An x that is not finite and > 0 raises DomainError; a value that is not finite, IllConditionedError.
     """
     x = _positive("x", x)
     scalar = np.ndim(x) == 0 and np.ndim(zeta) == 0
     x = np.atleast_1d(x)
-    a = params.alpha + sign * zeta / 2.0
-    b = params.beta + sign * zeta / 2.0
-    c = 1.0 + params.mu if regular else 1.0 + sign * zeta
     th = np.tanh(x)
     lc = _log_cosh(x)
-    w, log_w = (th**2, -2.0 * lc) if regular else (np.exp(-2.0 * lc), 2.0 * np.log(th))
-    n = _bound_state(params, zeta) if sign > 0 and not regular else -1  # M at a bound state
+    if np.ndim(sign) == np.ndim(regular) == 0:
+        a, b, c, exponent = _kind(params, zeta, sign, regular)
+        w, log_w = (th**2, -2.0 * lc) if regular else (np.exp(-2.0 * lc), 2.0 * np.log(th))
+        n = _bound_state(params, zeta) if sign > 0 and not regular else -1  # M at a bound state
+    else:
+        kinds = [_kind(params, zeta, s, r) for r in (False, True) for s in (-1, 1)]  # at (sign > 0) + 2 regular
+        a, b, c, exponent = np.array(kinds).T.take((np.asarray(sign) > 0) + 2 * np.asarray(regular), axis=1)
+        w, log_w = np.where(regular, th**2, np.exp(-2.0 * lc)), np.where(regular, -2.0 * lc, 2.0 * np.log(th))
+        n = -1
     try:
         if n >= 0:
             scale = gamma_ratio((n + 1.0, 1.0 + zeta), (n + 1.0 + zeta,))  # n!/(1+zeta)_n
@@ -129,10 +150,13 @@ def _solution(params: ModelParams, x, zeta, sign: int, regular: bool, derivative
             F = scale * eval_jacobi(n, zr, params.mu, t)
             if derivative:  # dt/dw = -2; scipy's P_(-1) is 0, the derivative of P_0
                 dF = -scale * (n + zr + params.mu + 1.0) * eval_jacobi(n - 1, zr + 1.0, params.mu + 1.0, t)
+        elif derivative:  # F and the shifted F as two rows, on a new axis ahead of every lane axis
+            nd = np.broadcast(a, b, c, w).ndim
+            rows = (np.reshape([v, v + 1.0], (2,) + (1,) * (nd - np.ndim(v)) + np.shape(v)) for v in (a, b, c))
+            F, dF = hyp2f1_values(*rows, w, log_w=log_w)
+            dF = a * b / c * dF
         else:
             F = hyp2f1_values(a, b, c, w, log_w=log_w)
-            if derivative:
-                dF = a * b / c * hyp2f1_values(a + 1.0, b + 1.0, c + 1.0, w, log_w=log_w)
     except InvalidCError:  # only c = 1 + sign zeta can be a nonpositive integer; the error names zeta
         msg = f"c = 1 + {sign} zeta is a nonpositive integer at zeta = {zeta}; perturb zeta"
         raise InvalidCError(msg) from None
@@ -140,13 +164,13 @@ def _solution(params: ModelParams, x, zeta, sign: int, regular: bool, derivative
         raise _not_finite(zeta) from None
     # in place: on a (k, x) grid these are the largest arrays in the package
     with np.errstate(over="ignore", invalid="ignore"):
-        pref = np.asarray(-sign * zeta, dtype=complex) * lc
+        pref = np.asarray(exponent, dtype=complex) * lc
         pref += (0.5 + params.mu) * np.log(th)
         np.exp(pref, out=pref)
         if derivative:
             # (log pref)' = (1/2+mu) sech^2 x / tanh x - sign zeta tanh x; w' = +/-2 tanh x sech^2 x
             sech2 = np.exp(-2.0 * lc)
-            dw = (2.0 if regular else -2.0) * th * sech2
+            dw = np.where(regular, 2.0, -2.0) * th * sech2
             F = pref * (F * ((0.5 + params.mu) * sech2 / th - sign * zeta * th) + dw * dF)
         else:
             # F e^pref piece by piece into new arrays: in place, a one-element complex

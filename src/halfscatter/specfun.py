@@ -144,13 +144,18 @@ def bessel_script_J(mu: float, x) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 # Gauss 2F1 core.  Every helper takes a, b, c once per row (1-D arrays) and
 # the lanes as sorted runs: counts[i] lanes of row i, then those of row i+1,
-# with per lane the argument.  A per-row array reaches its lanes by
+# with per lane the argument.  A row is a row of a (k, x) grid's last axis, or,
+# when a, b and c vary along it, a run of consecutive lanes whose a, b and c
+# are equal bit for bit (_lane_runs), so L and M points laid out kind after
+# kind are two rows.  A per-row array reaches its lanes by
 # np.repeat(v, counts), an exact copy, so each lane gets the values that its
 # own parameters give.  The runs stay sorted: hyp2f1_values lays a block out
 # row after row, every branch mask and every stop compaction keeps lanes in
-# order, and _linear_transform's second series follows its first.  Branch
-# tests, gamma products and series ratios are formed per row; every series
-# stops per lane, so a lane's value does not depend on the other lanes.
+# order, and a series loop's later rows follow its earlier ones (the
+# connection formula's second series after its first, and both after the raw
+# series when _block sums them in one loop).  Branch tests, gamma products and
+# series ratios are formed per row; every series stops per lane, so a lane's
+# value does not depend on the other lanes.
 
 
 def _runs(counts, keep):
@@ -164,6 +169,20 @@ def _used_rows(params, counts):
         return (*params, counts)
     used = counts > 0
     return (*(p[used] for p in params), counts[used])
+
+
+def _lane_runs(params):
+    """Per-lane a, b, c as rows: each run of consecutive lanes whose (a, b, c)
+    are equal bit for bit (so 0.0 and -0.0 differ) becomes one row.  Returns
+    the rows' parameters and their run lengths."""
+    edge = np.zeros(len(params[0]) + 1, dtype=bool)  # where a run starts, and the end of the last
+    edge[0] = edge[-1] = True
+    for p in params:
+        bits = np.ascontiguousarray(p).view(np.int64)  # real and imaginary parts, alternating
+        new = bits[2:] != bits[:-2]
+        edge[1:-1] |= new[::2] | new[1::2]
+    at = np.flatnonzero(edge)
+    return [p[at[:-1]] for p in params], at[1:] - at[:-1]
 
 
 def _sum_lanes(ratios, params, counts, w, coef, g, total, max_terms, what):
@@ -255,7 +274,7 @@ def _terminating_series(a, b, c, counts, w, n_terms):
     return total
 
 
-def _linear_transform(a, b, c, counts, w, log_w):
+def _linear_transform(a, b, c, counts, w, log_w, series=_raw_series):
     """z -> 1-z connection formula per lane, valid when c-a-b is not an integer.
 
     Takes w = 1-z together with its exact logarithm so that the caller can
@@ -267,7 +286,8 @@ def _linear_transform(a, b, c, counts, w, log_w):
     boundary), has c-b = conj(a) and c-a-b imaginary, so the second term's
     series and gamma product are the conjugates of the first's: only the
     first is formed.  The test allows a few ulps of |a| + |b|, since c, a
-    and b are rounded separately.
+    and b are rounded separately.  series sums the raw series; _block passes
+    one that sums its own raw-series lanes in the same loop.
     """
     ca, cb = c - a, c - b
     d = ca - b
@@ -282,7 +302,7 @@ def _linear_transform(a, b, c, counts, w, log_w):
     s1, s2, sum2 = (t.repeat(counts) for t in terms)
     # both series share one set of lanes, so one loop sums them; the second's rows follow the first's
     rows = [np.concatenate(v) for v in ([a, ca], [b, cb], [a + b - c + 1.0, d + 1.0])]
-    f = _raw_series(*rows, np.concatenate([n1, n3]), np.concatenate([w[s1], w[sum2]]))
+    f = series(*rows, np.concatenate([n1, n3]), np.concatenate([w[s1], w[sum2]]))
     k1 = np.count_nonzero(s1)
     f2 = np.empty(w.shape, dtype=complex)
     f2[s1] = np.conj(f[:k1])  # the second series of a mirrored lane
@@ -329,7 +349,9 @@ def _block(a, b, c, counts, z, log_w):
     above it the connection formula or, grouped by integer gap m = c-a-b, the
     log form (m < 0 reduced by Euler's transformation).  Every test but the
     threshold is made once per row, from one integer test of c, a, b and
-    c-a-b; a nonpositive integer c raises InvalidCError."""
+    c-a-b; a nonpositive integer c raises InvalidCError.  In a block of few
+    lanes, the raw series and the connection formula's two series are summed
+    in one loop."""
     near, r = _near_int(np.array([c, a, b, c - a - b]))
     nonpos = near & (r <= 0)
     if np.count_nonzero(nonpos[0]):
@@ -343,15 +365,22 @@ def _block(a, b, c, counts, z, log_w):
             out[s] = _terminating_series(*_used_rows((a, b, c), counts * (degree == d)), z[s], int(d))
         poly = (degree <= MAX_TERMS).repeat(counts)
     low = ~poly & (z <= SERIES_THRESHOLD)
-    if np.count_nonzero(low):
-        out[low] = _raw_series(a, b, c, _runs(counts, low), z[low])
+    lows, n_low = (a, b, c, _runs(counts, low), z[low]), np.count_nonzero(low)
     high = ~poly & ~low
-    if not np.count_nonzero(high):
-        return out
     gap, m = near[3].repeat(counts), r[3].repeat(counts)
     s = high & ~gap
-    if np.count_nonzero(s):
-        out[s] = _linear_transform(*_used_rows((a, b, c), _runs(counts, s)), np.exp(log_w[s]), log_w[s])
+    n_s, series = np.count_nonzero(s), _raw_series
+    if n_low and n_s and z.size * _CHUNK_TERMS <= BLOCK_LANES:
+        # few lanes, where numpy's per-call cost dominates: the raw series and the connection
+        # formula's share one loop (with many lanes, one branch's temporaries at a time)
+        def series(*rows):
+            f = _raw_series(*(np.concatenate(v) for v in zip(lows, rows)))
+            out[low] = f[:n_low]
+            return f[n_low:]
+    elif n_low:
+        out[low] = _raw_series(*lows)
+    if n_s:
+        out[s] = _linear_transform(*_used_rows((a, b, c), _runs(counts, s)), np.exp(log_w[s]), log_w[s], series)
     for mm in sorted(set(m[high & gap].tolist())):
         s = high & gap & (m == mm)
         ra, rb, rc, n = _used_rows((a, b, c), _runs(counts, s))
@@ -377,11 +406,12 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     whole rows of the last axis, or equal pieces of a row longer than that.
     When a, b and c are scalars, all lanes are one row; when they are
     constant along the last axis (a (k, x) grid), the core reads them once
-    per row of that axis; otherwise once per lane.  Raises DomainError (a
-    ValueError) when some z lies outside [0, 1), InvalidCError when some c is
-    a nonpositive integer, NoConvergenceError when some series does not
-    converge and IllConditionedError, with no RuntimeWarning, when some value
-    is not finite in double precision.
+    per row of that axis; otherwise once per run of consecutive lanes with
+    equal a, b and c.  Raises DomainError (a ValueError) when some z lies
+    outside [0, 1), InvalidCError when some c is a nonpositive integer,
+    NoConvergenceError when some series does not converge and
+    IllConditionedError, with no RuntimeWarning, when some value is not
+    finite in double precision.
 
     log_w, when given, is the exact natural log of 1-z.  Callers whose z comes
     from tanh(x)^2 or sech(x)^2 know log(1-z) analytically; passing it keeps
@@ -420,9 +450,11 @@ def hyp2f1_values(a, b, c, z, log_w=None):
         for s in range(0, cols, cut):
             part = table[r : r + step, s : s + cut]
             lanes = (*at, slice(s, s + cut))
-            first = (*at, slice(0, 1)) if by_row else lanes  # the parameters of each row: its first lane
-            params = [v[first].reshape(-1) for v in views[:3]]
-            counts = np.full(params[0].size, part.size // params[0].size)  # equal runs, row after row
+            if by_row:  # the parameters of each row: its first lane; equal runs, row after row
+                params = [v[(*at, slice(0, 1))].reshape(-1) for v in views[:3]]
+                counts = np.full(params[0].size, part.size // params[0].size)
+            else:
+                params, counts = _lane_runs([v[lanes].reshape(-1) for v in views[:3]])
             part[...] = _block(*params, counts, *(v[lanes].reshape(-1) for v in views[3:])).reshape(part.shape)
     if not np.isfinite(out).all():
         raise IllConditionedError("hyp2f1 value not finite in double precision")

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtEigenvalueError
+from .errors import AtEigenvalueError, DomainError
 from .model import ModelParams, _integer, classify_beta
-from .solutions import SpectralPoint, _bound_state, eval_L, eval_M, wronskian
+from .solutions import SpectralPoint, _bound_state, _solution, eval_L, eval_M, wronskian
 from .specfun import gamma_ratio
 
 __all__ = [
@@ -62,17 +62,23 @@ def resolvent_kernel(params: ModelParams, pt: SpectralPoint, x, y):
     """Kernel of (H + zeta^2)^(-1): -(1/W) L(min) M(max), symmetric in (x, y).
 
     x and y broadcast against each other; L is evaluated once at each point
-    that is some min(x, y), M once at each point that is some max(x, y).  An
-    interior point at an eigenvalue raises AtEigenvalueError; the boundary
-    Wronskian never vanishes for k > 0.
+    that is some min(x, y), M once at each point that is some max(x, y), as
+    the lanes of one 2F1 call (L's lanes, then M's), each equal bit for bit
+    to eval_L or eval_M at that point.  An interior point at an eigenvalue
+    raises AtEigenvalueError; the boundary Wronskian never vanishes for k > 0.
+    A boundary point with an array of k raises DomainError.
     """
+    if np.ndim(pt.zeta):
+        raise DomainError("resolvent_kernel takes one spectral point, not an array of k")
     w = wronskian(params, pt)
     if not pt.is_boundary and _bound_state(params, pt.zeta) >= 0:
         raise AtEigenvalueError(f"Wronskian vanishes at zeta = {pt.zeta}")
     pts, ix, iy, shape = _union(x, y)
     lo, lo_at = _used(pts, np.minimum(ix, iy))  # the points that are some min, in order
     hi, hi_at = _used(pts, np.maximum(ix, iy))
-    return _shaped(-eval_L(params, lo, pt)[lo_at] * eval_M(params, hi, pt)[hi_at] / w, shape)
+    sign = np.repeat([-1, 1], [lo.size, hi.size])  # L (sign -1, regular), then M (sign +1)
+    lm = _solution(params, np.concatenate([lo, hi]), pt.zeta, sign, sign < 0)
+    return _shaped(-lm[lo_at] * lm[lo.size + hi_at] / w, shape)
 
 
 def resolvent_boundary_kernel(params: ModelParams, k: float, side, x, y):

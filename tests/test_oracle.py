@@ -11,7 +11,7 @@ import halfscatter.oracle as oracle_mod
 from conftest import mp_regular, mp_resolvent
 from halfscatter.cli import main
 from halfscatter.errors import DomainError, HalfScatterError, IllConditionedError
-from halfscatter.model import ModelParams
+from halfscatter.model import ModelParams, potential
 from halfscatter.oracle import (
     count_bound_states_shooting,
     extract_sigma,
@@ -355,6 +355,15 @@ def test_greens_refuses_points_at_the_regular_floor_before_any_solve(monkeypatch
     with pytest.raises(DomainError, match=f"x - X0_FINE and y - X0_FINE \\(x = {x}, y = {y}\\)"):
         greens_function_oracle(ModelParams(0.5, 2.0), SpectralPoint.interior(1.5), x, y)
     assert calls == []
+
+
+@pytest.mark.parametrize("mu, x", [(0.5 + 1e-12, 1e-8), (3.0, 1e-8), (3.0, 0.7)])
+def test_rhs_potential_equals_model_potential(mu, x):
+    # the rhs forms mu^2 - 1/4 as (mu - 1/2)(mu + 1/2), as potential does: near mu = 1/2,
+    # where the singular term dominates, 16 (mu^2 - 1/4) was off by |mu - 1/2| relative
+    p = ModelParams(mu, 2.0)
+    _, v = oracle_mod._rhs(p, 0.0, x)(x, (1.0, 0.0))  # u'' = (V - E) u at u = 1, E = 0
+    assert v == potential(p, x)
 
 
 def test_greens_symmetry():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfscatter import specfun
 from halfscatter.errors import DomainError, InvalidCError, NoConvergenceError, PoleError
 from halfscatter.specfun import (
     BLOCK_LANES,
@@ -306,9 +307,10 @@ def test_mirrored_lanes_against_mpmath(mu, nu):
         assert abs(mirrored[i] - both[i]) <= 1e-14 * scale
 
 
-def test_2f1_grid_equals_one_lane_calls():
-    # runs of equal (a, b, c) of several lengths, each over z on both sides of
-    # the threshold: mirrored boundary lanes, interior lanes, integer gaps
+def test_2f1_grid_equals_one_lane_calls(monkeypatch):
+    # per-lane a, b, c in runs of equal (a, b, c) of several lengths, each over z
+    # on both sides of the threshold: mirrored boundary lanes, interior lanes,
+    # integer gaps.  Consecutive equal lanes reach the core as one row's run.
     mu, nu = 0.6, 0.55
     al, be = (1 + mu + nu) / 2, (1 + mu - nu) / 2
     runs = [
@@ -329,9 +331,51 @@ def test_2f1_grid_equals_one_lane_calls():
         z += list(rng.uniform(0.05, 0.999, n))
     a, b, c, z = (np.array(v) for v in (a, b, c, z))
     log_w = np.log1p(-z)
+    longest, sum_lanes = [], specfun._sum_lanes
+
+    def recording(ratios, params, counts, *args):
+        longest.append(counts.max())
+        return sum_lanes(ratios, params, counts, *args)
+
+    monkeypatch.setattr(specfun, "_sum_lanes", recording)
     grid = hyp2f1_values(a, b, c, z, log_w=log_w)
+    assert max(longest) > 1
+    monkeypatch.undo()
     alone = np.array([hyp2f1_values(a[i], b[i], c[i], z[i], log_w=log_w[i]) for i in range(z.size)])
     assert np.array_equal(grid, alone)
+
+
+def test_2f1_per_lane_runs_across_a_block_edge_equal_one_lane_calls(monkeypatch):
+    # per-lane a, b, c in runs of 7 lanes over more lanes than a block holds: a
+    # block edge falls inside a run, which each block then holds in part
+    mu, nu = 0.6, 0.55
+    al, be = (1 + mu + nu) / 2, (1 + mu - nu) / 2
+    rows = [
+        (al + 1.5j, be + 1.5j, 1 + mu),  # mirrored
+        (al + (2 + 1j) / 2, be + (2 + 1j) / 2, 3 + 1j),  # decaying solution's parameters
+        (_A, _B, _A + _B + 1.0),  # integer gap: log form
+        (al - (2 + 1j) / 2, be - (2 + 1j) / 2, 1 + mu),  # interior regular
+    ]
+    n = BLOCK_LANES + 808
+    pick = (np.arange(n) // 7) % len(rows)
+    a, b, c = (np.array([r[i] for r in rows])[pick] for i in range(3))
+    z = np.random.default_rng(12).uniform(0.05, 0.999, n)
+    blocks, block = [], specfun._block
+
+    def recording(a, b, c, counts, *args):
+        blocks.append(counts)
+        return block(a, b, c, counts, *args)
+
+    monkeypatch.setattr(specfun, "_block", recording)
+    grid = hyp2f1_values(a, b, c, z)
+    monkeypatch.undo()
+    assert len(blocks) == 2 and 0 < blocks[0][-1] < 7 and blocks[0][-1] + blocks[1][0] == 7
+    edge = blocks[0].sum()
+    for start in range(0, n, 7):  # each run against its parameters as scalars
+        run = slice(start, start + 7)
+        assert np.array_equal(grid[run], hyp2f1_values(a[start], b[start], c[start], z[run]))
+    for i in [0, edge - 2, edge - 1, edge, edge + 1, n - 1]:  # one-lane calls at the ends and the edge
+        assert grid[i] == hyp2f1_values(a[i], b[i], c[i], z[i])
 
 
 def test_2f1_block_of_mixed_rows_equals_each_row_alone():

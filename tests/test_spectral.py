@@ -5,12 +5,14 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import fd_second, mp_resolvent
-from halfscatter.errors import AtEigenvalueError
+from halfscatter import solutions
+from halfscatter.errors import AtEigenvalueError, DomainError
 from halfscatter.index import verify_index
 from halfscatter.model import ModelParams, classify_beta, potential
 from halfscatter.oracle import count_bound_states_shooting, greens_function_oracle
 from halfscatter.scattering import fourier_kernel, quadrature_panels
-from halfscatter.solutions import SpectralPoint, eval_L, eval_M, eval_N
+from halfscatter.solutions import SpectralPoint, eval_L, eval_M, eval_N, wronskian
+from halfscatter.specfun import BLOCK_LANES
 from halfscatter.spectral import (
     bound_states,
     eigenfunction,
@@ -80,6 +82,43 @@ def test_one_point_equals_its_grid_lane(mu, nu):
         assert [[resolvent_kernel(p, pt, x, y) for y in xs] for x in xs] == grid.tolist()
     grid = spectral_density_kernel(p, 1.4, xs[:, None], xs)
     assert [[spectral_density_kernel(p, 1.4, x, y) for y in xs] for x in xs] == grid.tolist()
+
+
+@pytest.mark.parametrize(
+    "mu, nu, pt",
+    [
+        (0.6, 2.1, SpectralPoint.interior(1.3 + 0.4j)),
+        (0.6, 2.1, SpectralPoint.boundary(1.4, +1)),
+        (0.6, 2.1, SpectralPoint.boundary(1.4, -1)),
+        (1.0, 2.0, SpectralPoint.interior(1.6 + 0.5j)),  # integer mu: M in the log form near x = 0
+    ],
+)
+def test_resolvent_equals_its_two_solution_form(mu, nu, pt):
+    # bitwise: L and M as lanes of one 2F1 call equal eval_L at the min and eval_M at the max,
+    # on a grid with its diagonal (x = y) and on a list of pairs longer than a block
+    p, w = ModelParams(mu, nu), wronskian(ModelParams(mu, nu), pt)
+    xs = np.linspace(0.05, 4.0, 40)
+    rng = np.random.default_rng(5)
+    pairs = rng.uniform(0.05, 4.0, (2, BLOCK_LANES + 100))
+    for x, y in ((xs[:, None], xs), tuple(pairs)):
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        assert resolvent_kernel(p, pt, x, y).tobytes() == (-eval_L(p, lo, pt) * eval_M(p, hi, pt) / w).tobytes()
+
+
+def test_one_point_kernel_makes_one_2f1_call(monkeypatch):
+    calls, hyp2f1 = [], solutions.hyp2f1_values
+    monkeypatch.setattr(solutions, "hyp2f1_values", lambda *a, **kw: calls.append(1) or hyp2f1(*a, **kw))
+    p = ModelParams(1.0, 2.1)
+    resolvent_kernel(p, SpectralPoint.interior(1.6 + 0.5j), 0.7, 1.3)
+    resolvent_kernel(p, SpectralPoint.boundary(1.4, -1), 2.0, 2.0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("k", [np.array([1.0, 2.0]), np.array([[1.0], [2.0]])])
+def test_resolvent_at_an_array_of_k_raises(k):
+    # one spectral point per kernel: an array of k was paired with the points or failed to reshape
+    with pytest.raises(DomainError):
+        resolvent_kernel(ModelParams(0.6, 2.1), SpectralPoint.boundary(k, 1), np.array([0.5, 1.0]), 2.0)
 
 
 def test_resolvent_at_eigenvalue_raises_from_array_path():
