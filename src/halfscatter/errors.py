@@ -18,7 +18,7 @@ class InvalidCError(HalfScatterError):
 
 
 class NoConvergenceError(HalfScatterError):
-    """A series failed to meet its tolerance within the term cap."""
+    """A series or an iteration failed to meet its tolerance within its cap."""
 
 
 class ParityError(HalfScatterError, ValueError):

@@ -226,11 +226,11 @@ def wave_operator_apply(params: ModelParams, side, f: SampledFunction) -> Sample
     """Stationary wave operator action W_side f = (F^side)* (sine transform of f).
 
     The k-integration is truncated at K_CUTOFF_DEFAULT on unit panels of
-    WAVE_NODES_PER_PANEL nodes.  That cutoff is not negligible: at the same
-    K = 40, the forward transform of W_- f for a smooth bump at
-    (mu, nu) = (0, 3) has a last-32-node tail/norm of 1.7e-3, and its
-    QuadratureWarning fires (the S = sigma(sqrt H) check of the acceptance
-    tests).
+    WAVE_NODES_PER_PANEL nodes.  The forward transform of W_- f for a smooth
+    bump at (mu, nu) = (0, 3) has a last-32-node tail/norm of 1.7e-3 on the
+    x window [0, 30], and its QuadratureWarning fires (the S = sigma(sqrt H)
+    check of the acceptance tests).  That tail follows the x window, not the
+    cutoff: it is 3.9e-4 on [0, 60] and 6.7e-5 on [0, 120] at the same K = 40.
     """
     kk, kw = quadrature_panels(0.0, K_CUTOFF_DEFAULT, 1.0, WAVE_NODES_PER_PANEL)
     g = sine_transform(f, SampledFunction(grid=kk, values=np.zeros_like(kk), weights=kw))

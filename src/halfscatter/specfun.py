@@ -1,9 +1,11 @@
 """Complex special functions used by every closed form in the package.
 
 The only nonstandard piece is a Gauss 2F1 for complex parameters and real
-argument z in [0, 1).  The defining power series is used below z = 0.6; above
-it the value comes from the z -> 1-z linear transformation, switching to the
-logarithmic (digamma) representations when c-a-b degenerates to an integer.
+argument z in [0, 1).  The defining power series serves every lane with
+z <= SERIES_THRESHOLD = 0.6; above it the value comes from the z -> 1-z linear
+transformation, switching to the logarithmic (digamma) representations when
+c-a-b degenerates to an integer.  Each lane takes one branch: no value is
+computed twice or checked against the other branch.
 Log-gamma, digamma and the Bessel function are delegated to scipy behind the
 same call surface.
 """
@@ -31,8 +33,9 @@ __all__ = [
     "SERIES_THRESHOLD",
 ]
 
-# Raw series below, linear transformation above; both converge comfortably in
-# an overlap band used as a self-test.
+# The switch between the branches: the raw series serves z at most this, the
+# linear transformation (or its log case) z above it, where the transformed
+# argument 1 - z is below 0.4.  A fixed switch, not a choice by cancellation.
 SERIES_THRESHOLD = 0.6
 
 MAX_TERMS = 20000

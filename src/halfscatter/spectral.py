@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtEigenvalueError, DomainError
+from .errors import AtEigenvalueError, DomainError, NoConvergenceError
 from .model import ModelParams, _integer, classify_beta
 from .solutions import SpectralPoint, _bound_state, _solution, eval_L, eval_M, wronskian
 from .specfun import gamma_ratio
@@ -23,6 +25,8 @@ __all__ = [
 ]
 
 ROOT_SCAN_START = 1e-9  # first node of wronskian_roots' scan, just above the edge zeta = 0
+# Brent's stop rule and step cap, scipy.optimize.brentq's at xtol = 1e-12
+_XTOL, _RTOL, _MAXITER = 1e-12, 4 * sys.float_info.epsilon, 100
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,10 @@ def spectral_density_kernel(params: ModelParams, k: float, x, y):
     Real, symmetric, and nonnegative on the diagonal; equals the resolvent
     jump across the continuous spectrum divided by 2*pi*i.  x and y broadcast
     against each other, and L is evaluated once on the union of their points.
+    An array of k raises DomainError.
     """
+    if np.ndim(k):
+        raise DomainError("spectral_density_kernel takes one k, not an array")
     pt = SpectralPoint.boundary(k, +1)
     w = wronskian(params, pt)
     pts, ix, iy, shape = _union(x, y)
@@ -110,31 +117,63 @@ def bound_states(params: ModelParams) -> BoundStateReport:
     return BoundStateReport(count=count, levels=levels)
 
 
+def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Zero of f in the bracket [a, b], whose end values fa = f(a) and fb = f(b) are nonzero
+    and of opposite sign, by Brent's method as scipy's brentq.c takes it: inverse quadratic
+    or secant steps, bisection where they stall, to |step| below (_XTOL + _RTOL |x|)/2.
+    NoConvergenceError after _MAXITER evaluations of f."""
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur takes the end with the smaller |f|
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            spre, scur = (scur, stry) if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta) else (sbis, sbis)
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NoConvergenceError(f"Brent's method left [{a:g}, {b:g}] unresolved after {_MAXITER} steps")
+
+
 def wronskian_roots(params: ModelParams) -> list[float]:
     """Zeros of the real Wronskian on [s, nu-mu-1+s], s = ROOT_SCAN_START, by
-    Brent's method.
+    Brent's method on each bracket of the scan (_brent).
 
     The zeros are simple, so a scan grid finer than their spacing (which is 2)
     brackets each one in a sign change; a zero that lands on a node is taken
     once, as the node.  Returned in decreasing order, matching the level
     ordering of bound_states.
     """
-    from scipy.optimize import brentq  # loaded at first use, not with halfscatter
-
     t = params.nu - params.mu - 1.0
     if t <= 0:
         return []
 
     def w_real(zeta):
-        return wronskian(params, SpectralPoint.interior(zeta)).real
+        return float(wronskian(params, SpectralPoint.interior(zeta)).real)
 
     n_seg = max(4, int(np.ceil(t / 0.25)) + 1)  # scan step 0.25
-    grid = np.linspace(ROOT_SCAN_START, t + ROOT_SCAN_START, n_seg)
+    grid = np.linspace(ROOT_SCAN_START, t + ROOT_SCAN_START, n_seg).tolist()
     vals = [w_real(g) for g in grid]
-    roots = [float(g) for g, v in zip(grid, vals) if v == 0.0]
+    roots = [g for g, v in zip(grid, vals) if v == 0.0]
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if fa * fb < 0:
-            roots.append(brentq(w_real, a, b, xtol=1e-12))
+            roots.append(_brent(w_real, a, b, fa, fb))
     return sorted(roots, reverse=True)
 
 

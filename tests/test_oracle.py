@@ -440,3 +440,53 @@ def test_an_oracle_check_table_makes_six_solves_and_no_dense_output(monkeypatch,
     assert not any(kwargs.get("dense_output") for kwargs in seen)
     assert not any("events" in kwargs for kwargs in seen)
     assert sum(nfev) <= 5000
+
+
+# The four oracle-check tables of the verify benchmark workload at seed 1, and one in the deep well.
+_REFERENCE_TABLES = [
+    ("0.020928104261778546", "2.0905002570818128", "1.5016827284680212+0.53035089265995106j"),
+    ("1.0999025882323938", "1.026214679618999", "2.0849044521859272+0.46056831486557048j"),
+    ("0.58060357075271241", "4.5630317755443475", "1.2362696857057849+0.37607887845834825j"),
+    ("2.0026484548903971", "2.544681295173445", "2.5371854569870105+0.84770740056373495j"),
+    ("0", "50", "1.5+0.5j"),
+]
+
+
+@pytest.mark.parametrize("mu, nu, zeta", _REFERENCE_TABLES)
+def test_solve_ivp_takes_scipy_dop853_steps_on_oracle_tables(monkeypatch, capsys, mu, nu, zeta):
+    # scipy's DOP853 is the reference the port follows; it is imported here only
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    solve, calls = oracle_mod.solve_ivp, []
+
+    def recording(fun, t_span, y0, **kwargs):
+        calls.append((fun, t_span, y0, kwargs, solve(fun, t_span, y0, **kwargs)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(oracle_mod, "solve_ivp", recording)
+    main(["oracle-check", "--mu", mu, "--nu", nu, "--zeta", zeta])
+    capsys.readouterr()
+    assert len(calls) == 6
+    for fun, t_span, y0, kwargs, res in calls:
+        ref = scipy_solve_ivp(fun, t_span, y0, method="DOP853", **kwargs)
+        assert res.success and ref.success and res.y.dtype == ref.y.dtype
+        if kwargs["t_eval"] is None:
+            # the shooting solve: rounding moves its step times (by up to ~2e-6), not its steps or nodes
+            (u, du), (u_ref, du_ref) = res.y, ref.y
+            assert res.t.size == ref.t.size
+            assert np.count_nonzero(np.diff(np.signbit(u))) == np.count_nonzero(np.diff(np.signbit(u_ref)))
+            assert (u[-1] * du[-1] < 0) == (u_ref[-1] * du_ref[-1] < 0)
+        else:
+            assert res.nfev == ref.nfev
+            scale = np.maximum(np.abs(res.y), np.abs(ref.y)).max(axis=1, keepdims=True)
+            assert np.all(np.abs(res.y - ref.y) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("energy, span", [(-1e6, (0.1, 10.0)), (1.0, (1e-160, 1.0))], ids=["growth", "origin"])
+def test_a_solve_that_leaves_double_range_raises_without_warning(energy, span):
+    # the state grows like e^(1000 x) in the first case; in the second V ~ 3/(4 x^2) is past double
+    # range at the start, so the initial-step rule divides by a zero trial step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedError, match="leaves double range"):
+            oracle_mod._integrate(ModelParams(1.0, 2.0), energy, span, 1.0, 0.0, 1e-10)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from conftest import fd_second, mp_resolvent
 from halfscatter import solutions
+from halfscatter import spectral as spectral_mod
 from halfscatter.errors import AtEigenvalueError, DomainError
 from halfscatter.index import verify_index
 from halfscatter.model import ModelParams, classify_beta, potential
@@ -119,6 +120,22 @@ def test_resolvent_at_an_array_of_k_raises(k):
     # one spectral point per kernel: an array of k was paired with the points or failed to reshape
     with pytest.raises(DomainError):
         resolvent_kernel(ModelParams(0.6, 2.1), SpectralPoint.boundary(k, 1), np.array([0.5, 1.0]), 2.0)
+
+
+@pytest.mark.parametrize("k", [np.array([1.0, 2.0]), np.array([[1.0], [2.0]])])
+def test_density_at_an_array_of_k_raises(k):
+    # one boundary point per kernel: the array was paired with the union of the points, so the
+    # second entry of the first case read 0.1319, where p(k = 2; 0.6, 0.5) is 0.1157
+    with pytest.raises(DomainError):
+        spectral_density_kernel(ModelParams(0.6, 2.1), k, np.array([0.5, 0.6]), 0.5)
+
+
+@pytest.mark.parametrize("x", [0.6, np.array([0.5, 0.6])])
+def test_density_at_a_0d_k_equals_the_scalar_call(x):
+    p = ModelParams(0.6, 2.1)
+    value = spectral_density_kernel(p, 2.0, x, 0.5)
+    assert np.asarray(spectral_density_kernel(p, np.array(2.0), x, 0.5)).tobytes() == np.asarray(value).tobytes()
+    assert abs(np.ravel(value)[-1] - 0.11574525994297302) < 1e-14
 
 
 def test_resolvent_at_eigenvalue_raises_from_array_path():
@@ -243,6 +260,41 @@ def test_wronskian_roots_take_a_node_zero_once():
     # at nu = 3 + 1e-9 the level zeta_1 sits on the first scan node, ROOT_SCAN_START = 1e-9,
     # where W is exactly zero; zeta_0 = 2 + 1e-9 lies between nodes and is bracketed
     assert wronskian_roots(ModelParams(0.0, 3.0 + 1e-9)) == [2.000000001, 1e-9]
+
+
+def test_brent_matches_brentq_on_the_criterion_6_grid(monkeypatch):
+    # wronskian_roots refines each bracket of its scan with its own Brent step; scipy's brentq
+    # at the same xtol, given the same brackets, is the reference: the same roots, from the same
+    # number of evaluations (brentq evaluates the two ends again).  On the grid itself every root
+    # lies 1e-9 from a scan node and takes one secant step; nu + 0.37 puts them inside brackets.
+    from scipy.optimize import brentq
+
+    brent, evaluations = spectral_mod._brent, []
+
+    def counting(solve, extra):
+        def refine(f, a, b, fa, fb):
+            n = [-extra]
+
+            def g(zeta):
+                n[0] += 1
+                return f(zeta)
+
+            root = solve(g, a, b, fa, fb)
+            evaluations.append(n[0])
+            return root
+
+        return refine
+
+    pairs = [(mu, nu) for mu in np.arange(0.0, 3.01, 0.5) for nu in np.arange(0.0, 6.01, 0.5)]
+    grid = [ModelParams(mu, nu + d) for d in (0.0, 0.37) for mu, nu in pairs]
+    monkeypatch.setattr(spectral_mod, "_brent", counting(brent, 0))
+    roots = [wronskian_roots(p) for p in grid]
+    ours, evaluations = evaluations, []
+    monkeypatch.setattr(spectral_mod, "_brent", counting(lambda f, a, b, fa, fb: brentq(f, a, b, xtol=1e-12), 2))
+    refs = [wronskian_roots(p) for p in grid]
+    assert len(ours) > 50 and ours == evaluations
+    for p, r, ref in zip(grid, roots, refs):
+        assert len(r) == len(ref) and np.allclose(r, ref, rtol=0.0, atol=1e-12), (p, r, ref)
 
 
 def test_shooting_count_matches_report():
