@@ -23,8 +23,8 @@ from . import index as index_mod
 from . import oracle as oracle_mod
 from .errors import DomainError, HalfScatterError
 from .model import ModelParams
+from .scattering import MAX_QUADRATURE_NODES, sigma_samples
 from .scattering import sigma as sigma_cf
-from .scattering import sigma_samples
 from .solutions import SpectralPoint, eval_derivative, eval_L, eval_M, wronskian
 from .spectral import bound_states, resolvent_kernel, spectral_density_kernel, wronskian_roots
 from .specfun import gauss_2f1
@@ -78,7 +78,8 @@ def _finite_float(part, text=None) -> float:
 
 
 def parse_range(text: str) -> np.ndarray:
-    """Parse 'start:stop:count' (inclusive endpoints) or a bare scalar, both finite."""
+    """Parse 'start:stop:count' (inclusive endpoints) or a bare scalar, both finite;
+    a count above MAX_QUADRATURE_NODES is refused before any grid is allocated."""
     if ":" not in text:
         return np.array([_finite_float(text)])
     parts = text.split(":")
@@ -91,6 +92,8 @@ def parse_range(text: str) -> np.ndarray:
         raise UsageError(f"bad range {text!r}") from exc
     if count < 2:
         raise UsageError(f"range count must be >= 2, got {count}")
+    if count > MAX_QUADRATURE_NODES:
+        raise UsageError(f"range count must be <= {MAX_QUADRATURE_NODES:.0e}, got {count}")
     if not stop > start:
         raise UsageError(f"range must be increasing, got {text!r}")
     return np.linspace(start, stop, count)

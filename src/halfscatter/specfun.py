@@ -40,7 +40,9 @@ SERIES_THRESHOLD = 0.6
 
 MAX_TERMS = 20000
 # Lanes evaluated together: bounds the series temporaries, so peak memory
-# stays flat however large the broadcast lane shape is.
+# stays flat however large the broadcast lane shape is.  A block is a range of
+# whole rows, or, on a grid of several blocks whose z is the same in every
+# row, a range of rows over the columns of one branch.
 BLOCK_LANES = 8192
 _CHUNK_TERMS = 16  # series terms per lane between two stop tests
 _TERM_TOL = 1e-16
@@ -158,7 +160,9 @@ def bessel_script_J(mu: float, x) -> float | np.ndarray:
 # connection formula's second series after its first, and both after the raw
 # series when _block sums them in one loop).  Branch tests, gamma products and
 # series ratios are formed per row; every series stops per lane, so a lane's
-# value does not depend on the other lanes.
+# value does not depend on the other lanes, nor on the block that holds it:
+# a grid whose z is the same in every row is cut per branch when it spans
+# several blocks (hyp2f1_values), and each lane keeps its value bit for bit.
 
 
 def _runs(counts, keep):
@@ -407,6 +411,11 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     so its value does not depend on the other lanes.  Lanes are evaluated in
     blocks of at most BLOCK_LANES, which bounds the temporaries: ranges of
     whole rows of the last axis, or equal pieces of a row longer than that.
+    When a, b and c are constant along the last axis, z and log_w are the
+    same in every row (a (k, x) grid, z = tanh^2 x or sech^2 x) and the lanes
+    span more than one block, the columns with z up to the threshold are cut
+    into blocks apart from the rest, so each block holds one branch in full;
+    a call that fits in one block keeps its branches in one block.
     When a, b and c are scalars, all lanes are one row; when they are
     constant along the last axis (a (k, x) grid), the core reads them once
     per row of that axis; otherwise once per run of consecutive lanes with
@@ -441,24 +450,34 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     out = np.empty(views[3].shape, dtype=complex)
     *lead, cols = out.shape
     table = out.reshape(math.prod(lead), cols)
-    # only the block is copied out of the broadcast views, never a whole view;
-    # a row longer than a block is cut into equal pieces
-    width = max(cols, 1)
-    step, cut = max(1, BLOCK_LANES // width), -(-width // -(-width // BLOCK_LANES))
-    for r in range(0, table.shape[0], step):
-        # the rows: a slice of one leading axis (index arrays would cost a
-        # one-lane call about 8 us), or index arrays over several
-        rows = np.arange(r, min(r + step, table.shape[0]))
-        at = (slice(r, r + step),) if len(lead) == 1 else np.unravel_index(rows, lead)
-        for s in range(0, cols, cut):
-            part = table[r : r + step, s : s + cut]
-            lanes = (*at, slice(s, s + cut))
-            if by_row:  # the parameters of each row: its first lane; equal runs, row after row
-                params = [v[(*at, slice(0, 1))].reshape(-1) for v in views[:3]]
-                counts = np.full(params[0].size, part.size // params[0].size)
-            else:
-                params, counts = _lane_runs([v[lanes].reshape(-1) for v in views[:3]])
-            part[...] = _block(*params, counts, *(v[lanes].reshape(-1) for v in views[3:])).reshape(part.shape)
+    # the columns cut into blocks: all of them, or, when a by-row call spans
+    # several blocks and z and log_w are the same in every row, the columns of
+    # each branch apart, so that a block holds one branch for as many rows as fit
+    sets = [None]
+    if by_row and table.size > BLOCK_LANES and all(st == 0 or n == 1 for v in views[3:] for n, st in zip(lead, v.strides)):
+        low = views[3][(0,) * len(lead)] <= SERIES_THRESHOLD
+        sets = [np.flatnonzero(low), np.flatnonzero(~low)]
+    for idx in sets:
+        # only the block is copied out of the broadcast views, never a whole
+        # view; a row longer than a block is cut into equal pieces
+        n_cols = cols if idx is None else idx.size
+        width = max(n_cols, 1)
+        step, cut = max(1, BLOCK_LANES // width), -(-width // -(-width // BLOCK_LANES))
+        for r in range(0, table.shape[0], step):
+            # the rows: a slice of one leading axis (index arrays would cost a
+            # one-lane call about 8 us), or index arrays over several
+            rows = np.arange(r, min(r + step, table.shape[0]))
+            at = (slice(r, r + step),) if len(lead) == 1 else tuple(i[:, None] for i in np.unravel_index(rows, lead))
+            for s in range(0, n_cols, cut):
+                piece = slice(s, s + cut) if idx is None else idx[s : s + cut]
+                lanes = (*at, piece)
+                z_part, log_w_part = (v[lanes].reshape(-1) for v in views[3:])
+                if by_row:  # the parameters of each row: its first lane; equal runs, row after row
+                    params = [v[(*at, slice(0, 1))].reshape(-1) for v in views[:3]]
+                    counts = np.full(rows.size, z_part.size // rows.size)
+                else:
+                    params, counts = _lane_runs([v[lanes].reshape(-1) for v in views[:3]])
+                table[r : r + step, piece] = _block(*params, counts, z_part, log_w_part).reshape(rows.size, -1)
     if not np.isfinite(out).all():
         raise IllConditionedError("hyp2f1 value not finite in double precision")
     out = out.reshape(shape)

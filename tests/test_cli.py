@@ -111,11 +111,17 @@ def test_verify_index_fails_with_bad_truncation(tmp_path, monkeypatch):
     assert reports[0]["pass"] is False
 
 
-def test_malformed_range_exits_2(tmp_path):
+def test_malformed_range_exits_2(tmp_path, capsys):
     rc, _ = run(tmp_path, "sigma", "--mu", "0", "--nu", "3", "--k", "nonsense")
     assert rc == EXIT_USAGE
     rc, _ = run(tmp_path, "sigma", "--mu", "0", "--nu", "3", "--k", "1:2:1")
     assert rc == EXIT_USAGE
+    capsys.readouterr()
+    # a count too large to allocate is refused before linspace, not a MemoryError traceback and exit 1
+    rc, _ = run(tmp_path, "density", "--mu", "0", "--nu", "3", "--k", "1", "--x", "0.1:1:1000000000000", "--y", "1")
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_non_finite_parameter_writes_no_rows(tmp_path):

@@ -422,8 +422,9 @@ def test_every_solve_goes_through_the_module_solve_ivp(monkeypatch):
 
 
 def test_an_oracle_check_table_makes_six_solves_and_no_dense_output(monkeypatch, capsys):
-    # callers read the solution at a few points: no solve builds scipy's dense interpolant;
-    # regular solves start where their data holds (6,450 rhs calls from x = 1e-5 and 1e-3)
+    # callers read the solution at a few points: no solve asks for dense output, and the DOP853
+    # port interpolates only on a step that holds a point; regular solves start where their
+    # Frobenius data holds (4,890 rhs calls)
     seen, nfev = [], []
     solve = oracle_mod.solve_ivp
 

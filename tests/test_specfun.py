@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfscatter import specfun
+from halfscatter import ModelParams, SpectralPoint, resolvent_kernel, specfun
 from halfscatter.errors import DomainError, InvalidCError, NoConvergenceError, PoleError
+from halfscatter.scattering import fourier_kernel_matrix, quadrature_panels
 from halfscatter.specfun import (
     BLOCK_LANES,
     SERIES_THRESHOLD,
@@ -410,22 +411,24 @@ def _boundary_lanes(k, x, mu=0.6, nu=0.55):
 
 
 @pytest.mark.parametrize(
-    "k_shape, x_shape",
+    "k_shape, x_shape, x_low",
     [
-        ((37, 1), (300,)),  # 300-lane rows: 27 of them per block, then the rest
-        ((2, 1), (BLOCK_LANES + 1808,)),  # rows longer than a block are cut along themselves
-        ((3, 1, 1), (700,)),  # with b on its own axis below: rows over two leading axes
-        ((), ()),  # one lane, a scalar result
-        ((40,), (25, 1)),  # parameters vary along the last axis: every lane is its own row
+        ((37, 1), (300,), 0.05),  # 300-lane rows over both branches, each branch cut into blocks apart
+        ((2, 1), (BLOCK_LANES + 1808,), 0.05),  # rows longer than a block are cut along themselves
+        ((3, 1, 1), (700,), 0.05),  # with b on its own axis below: rows over two leading axes
+        ((), (), 0.05),  # one lane, a scalar result
+        ((40,), (25, 1), 0.05),  # parameters vary along the last axis: every lane is its own row
+        ((37, 1), (300,), 1.04),  # every z above the threshold: the raw-series branch is empty
+        ((640, 1), (384,), 0.05),  # the transform workload's shape
     ],
-    ids=["rows", "long-rows", "3d", "0d", "lanes"],
+    ids=["rows", "long-rows", "3d", "0d", "lanes", "one-branch", "transform"],
 )
-def test_2f1_blocks_equal_one_flat_call(k_shape, x_shape):
+def test_2f1_blocks_equal_one_flat_call(k_shape, x_shape, x_low):
     # however the lanes are cut into blocks, each lane gets the value of the
     # same lane in a flat 1-D call
     rng = np.random.default_rng(5)
     k = rng.uniform(0.0, 30.0, k_shape)
-    x = rng.uniform(0.05, 4.0, x_shape)
+    x = rng.uniform(x_low, 4.0, x_shape)
     a, b, c, z, log_w = _boundary_lanes(k, x)
     if len(k_shape) == 3:
         b = b[0, 0, 0] + rng.uniform(-1.0, 1.0, (1, 4, 1))  # shapes (R,1,1), (1,S,1) and (T,)
@@ -434,6 +437,33 @@ def test_2f1_blocks_equal_one_flat_call(k_shape, x_shape):
     flat = hyp2f1_values(*(v.reshape(-1) for v in lanes))
     assert grid.shape == lanes[0].shape
     assert np.array_equal(np.reshape(grid, -1), flat)
+
+
+def test_2f1_grid_sums_each_branch_in_full_blocks(monkeypatch):
+    # a by-row grid over several blocks, with z the same in every row, is cut per branch: the
+    # transform grid's 35 raw-series columns come 8192 // 35 = 234 rows to a block, 3 calls for
+    # 640 rows, where blocks of whole rows held 21 rows of both branches (31 mixed calls)
+    x, _ = quadrature_panels(0, 12, 1, 32)
+    k, _ = quadrature_panels(0, 40, 1, 16)
+    blocks, block = [], specfun._block
+
+    def recording(a, b, c, counts, z, log_w):
+        blocks.append(z)
+        return block(a, b, c, counts, z, log_w)
+
+    monkeypatch.setattr(specfun, "_block", recording)
+    fourier_kernel_matrix(ModelParams(0, 3), -1, x, k)
+    low = [bool((z <= SERIES_THRESHOLD).all()) for z in blocks]
+    assert all(is_low or (z > SERIES_THRESHOLD).all() for is_low, z in zip(low, blocks))
+    n_low = np.count_nonzero(np.tanh(x) ** 2 <= SERIES_THRESHOLD)
+    assert n_low == 35
+    assert sum(low) == -(-k.size // (BLOCK_LANES // n_low)) == 3
+    # a one-point kernel fits in one block: its raw series (M at 1.5) and connection formula
+    # (L at 1.3) share one series loop
+    sums, sum_lanes = [], specfun._sum_lanes
+    monkeypatch.setattr(specfun, "_sum_lanes", lambda *args: sums.append(1) or sum_lanes(*args))
+    resolvent_kernel(ModelParams(1, 2.1), SpectralPoint.interior(1.6 + 0.5j), 1.3, 1.5)
+    assert len(sums) == 1
 
 
 def test_2f1_lanes_of_a_large_grid_equal_one_lane_calls():
