@@ -163,10 +163,11 @@ def _check_tail(f: SampledFunction, label: str):
     norm = f.norm()
     if norm == 0:
         return
-    tail = float(np.sqrt(np.sum(f.weights[-32:] * np.abs(f.values[-32:]) ** 2)))
+    n = min(32, max(1, f.grid.size // 16))  # the last sixteenth of the nodes, at most 32
+    tail = float(np.sqrt(np.sum(f.weights[-n:] * np.abs(f.values[-n:]) ** 2)))
     if tail > 1e-4 * norm:
         warnings.warn(
-            f"{label}: last-32-node tail/norm = {tail / norm:.3g} exceeds 1e-4",
+            f"{label}: last-{n}-node tail/norm = {tail / norm:.3g} exceeds 1e-4",
             QuadratureWarning,
             stacklevel=3,
         )

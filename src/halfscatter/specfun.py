@@ -152,17 +152,15 @@ def bessel_script_J(mu: float, x) -> float | np.ndarray:
 # with per lane the argument.  A row is a row of a (k, x) grid's last axis, or,
 # when a, b and c vary along it, a run of consecutive lanes whose a, b and c
 # are equal bit for bit (_lane_runs), so L and M points laid out kind after
-# kind are two rows.  A per-row array reaches its lanes by
-# np.repeat(v, counts), an exact copy, so each lane gets the values that its
-# own parameters give.  The runs stay sorted: hyp2f1_values lays a block out
-# row after row, every branch mask and every stop compaction keeps lanes in
-# order, and a series loop's later rows follow its earlier ones (the
-# connection formula's second series after its first, and both after the raw
-# series when _block sums them in one loop).  Branch tests, gamma products and
-# series ratios are formed per row; every series stops per lane, so a lane's
-# value does not depend on the other lanes, nor on the block that holds it:
-# a grid whose z is the same in every row is cut per branch when it spans
-# several blocks (hyp2f1_values), and each lane keeps its value bit for bit.
+# kind are two rows.  A per-row array reaches its lanes by np.repeat(v, counts),
+# an exact copy, so each lane gets the values that its own parameters give.
+# The runs stay sorted: hyp2f1_values lays a block out row after row, every
+# mask and stop compaction keeps lanes in order, and a block's one series loop
+# takes the connection formula's rows after the raw series' lanes.  Branch
+# tests, gamma products and series ratios are formed per row; every series
+# stops per lane, so a lane's value depends neither on the other lanes nor on
+# the block that holds it, and a grid cut per branch (hyp2f1_values) keeps
+# each lane's value bit for bit.
 
 
 def _runs(counts, keep):
@@ -281,7 +279,7 @@ def _terminating_series(a, b, c, counts, w, n_terms):
     return total
 
 
-def _linear_transform(a, b, c, counts, w, log_w, series=_raw_series):
+def _linear_transform(a, b, c, counts, w, log_w):
     """z -> 1-z connection formula per lane, valid when c-a-b is not an integer.
 
     Takes w = 1-z together with its exact logarithm so that the caller can
@@ -293,8 +291,9 @@ def _linear_transform(a, b, c, counts, w, log_w, series=_raw_series):
     boundary), has c-b = conj(a) and c-a-b imaginary, so the second term's
     series and gamma product are the conjugates of the first's: only the
     first is formed.  The test allows a few ulps of |a| + |b|, since c, a
-    and b are rounded separately.  series sums the raw series; _block passes
-    one that sums its own raw-series lanes in the same loop.
+    and b are rounded separately.  Sums nothing: returns the rows of its
+    series as _raw_series takes them, the second's after the first's, and
+    the function of their sums that gives the lanes' values.
     """
     ca, cb = c - a, c - b
     d = ca - b
@@ -307,17 +306,19 @@ def _linear_transform(a, b, c, counts, w, log_w, series=_raw_series):
     terms = p1 != 0, p2 != 0, (p2 != 0) & ~mirror  # per row: the terms formed, the second series summed
     n1, n2, n3 = (counts * t for t in terms)
     s1, s2, sum2 = (t.repeat(counts) for t in terms)
-    # both series share one set of lanes, so one loop sums them; the second's rows follow the first's
-    rows = [np.concatenate(v) for v in ([a, ca], [b, cb], [a + b - c + 1.0, d + 1.0])]
-    f = series(*rows, np.concatenate([n1, n3]), np.concatenate([w[s1], w[sum2]]))
+    rows = [np.concatenate(v) for v in ([a, ca], [b, cb], [a + b - c + 1.0, d + 1.0], [n1, n3], [w[s1], w[sum2]])]
     k1 = np.count_nonzero(s1)
-    f2 = np.empty(w.shape, dtype=complex)
-    f2[s1] = np.conj(f[:k1])  # the second series of a mirrored lane
-    f2[sum2] = f[k1:]
-    out = np.zeros(w.shape, dtype=complex)
-    out[s1] += p1.repeat(n1) * f[:k1]
-    out[s2] += p2.repeat(n2) * np.exp(d.repeat(n2) * log_w[s2]) * f2[s2]
-    return out
+
+    def values(f):
+        f2 = np.empty(w.shape, dtype=complex)
+        f2[s1] = np.conj(f[:k1])  # the second series of a mirrored lane
+        f2[sum2] = f[k1:]
+        out = np.zeros(w.shape, dtype=complex)
+        out[s1] += p1.repeat(n1) * f[:k1]
+        out[s2] += p2.repeat(n2) * np.exp(d.repeat(n2) * log_w[s2]) * f2[s2]
+        return out
+
+    return rows, values
 
 
 def _log_case(a, b, c, counts, w, log_w, m):
@@ -356,9 +357,12 @@ def _block(a, b, c, counts, z, log_w):
     above it the connection formula or, grouped by integer gap m = c-a-b, the
     log form (m < 0 reduced by Euler's transformation).  Every test but the
     threshold is made once per row, from one integer test of c, a, b and
-    c-a-b; a nonpositive integer c raises InvalidCError.  In a block of few
-    lanes, the raw series and the connection formula's two series are summed
-    in one loop."""
+    c-a-b; a nonpositive integer c raises InvalidCError.  One loop sums the
+    raw series and the connection formula's series, whatever the block's
+    size.  The terminating sum and the log form keep their own, as sharing
+    it would move bits: the first forms (term rho) w, not term (rho w), which
+    moves about half of a seeded sample of polynomial lanes; a log lane's
+    term is coef g, and g = 1 would flip signed zeros of the other lanes."""
     near, r = _near_int(np.array([c, a, b, c - a - b]))
     nonpos = near & (r <= 0)
     if np.count_nonzero(nonpos[0]):
@@ -372,22 +376,18 @@ def _block(a, b, c, counts, z, log_w):
             out[s] = _terminating_series(*_used_rows((a, b, c), counts * (degree == d)), z[s], int(d))
         poly = (degree <= MAX_TERMS).repeat(counts)
     low = ~poly & (z <= SERIES_THRESHOLD)
-    lows, n_low = (a, b, c, _runs(counts, low), z[low]), np.count_nonzero(low)
     high = ~poly & ~low
     gap, m = near[3].repeat(counts), r[3].repeat(counts)
     s = high & ~gap
-    n_s, series = np.count_nonzero(s), _raw_series
-    if n_low and n_s and z.size * _CHUNK_TERMS <= BLOCK_LANES:
-        # few lanes, where numpy's per-call cost dominates: the raw series and the connection
-        # formula's share one loop (with many lanes, one branch's temporaries at a time)
-        def series(*rows):
-            f = _raw_series(*(np.concatenate(v) for v in zip(lows, rows)))
-            out[low] = f[:n_low]
-            return f[n_low:]
-    elif n_low:
-        out[low] = _raw_series(*lows)
-    if n_s:
-        out[s] = _linear_transform(*_used_rows((a, b, c), _runs(counts, s)), np.exp(log_w[s]), log_w[s], series)
+    rows, n_low, n_s = (a, b, c, _runs(counts, low), z[low]), np.count_nonzero(low), np.count_nonzero(s)
+    if n_s:  # the connection formula's rows follow the raw series' lanes
+        more, values = _linear_transform(*_used_rows((a, b, c), _runs(counts, s)), np.exp(log_w[s]), log_w[s])
+        rows = [np.concatenate(v) for v in zip(rows, more)] if n_low else more
+    if n_low or n_s:
+        f = _raw_series(*rows)
+        out[low] = f[:n_low]
+        if n_s:
+            out[s] = values(f[n_low:])
     for mm in sorted(set(m[high & gap].tolist())):
         s = high & gap & (m == mm)
         ra, rb, rc, n = _used_rows((a, b, c), _runs(counts, s))

@@ -1,5 +1,7 @@
 """Scattering function, generalized Fourier kernels, and transform quadrature."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -343,4 +345,16 @@ def test_quadrature_warning_on_unsupported_tail():
     kk, kw = quadrature_panels(0.0, 5.0, 1.0, 8)
     kgrid = SampledFunction(grid=kk, values=np.zeros_like(kk), weights=kw)
     with pytest.warns(QuadratureWarning):
+        forward_transform(FREE, -1, f, kgrid)
+
+
+def test_no_quadrature_warning_when_a_short_grid_ends_at_zero():
+    # on a 16-node grid the tail is the last node, where this f is 3e-14 of its peak; a tail of
+    # 32 nodes would be the whole grid, tail/norm = 1
+    f = sample_on_panels(lambda t: np.exp(-8.0 * t**2), 0.0, 2.0, 1.0, 8)
+    assert f.grid.size == 16
+    kk, kw = quadrature_panels(0.0, 5.0, 1.0, 8)
+    kgrid = SampledFunction(grid=kk, values=np.zeros_like(kk), weights=kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
         forward_transform(FREE, -1, f, kgrid)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfscatter import ModelParams, SpectralPoint, resolvent_kernel, specfun
+from halfscatter import ModelParams, SpectralPoint, eval_L, resolvent_kernel, specfun
 from halfscatter.errors import DomainError, InvalidCError, NoConvergenceError, PoleError
 from halfscatter.scattering import fourier_kernel_matrix, quadrature_panels
 from halfscatter.specfun import (
@@ -30,6 +30,12 @@ from halfscatter.specfun import (
 def _row(*params):
     # scalar parameters as one row of the 2F1 core, then its run of one lane
     return (*(np.array([p]) for p in params), np.ones(1, dtype=int))
+
+
+def _connection(*args):
+    # the connection formula alone: its series' rows summed in a loop of their own
+    rows, values = _linear_transform(*args)
+    return values(_raw_series(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +179,7 @@ def test_2f1_overlap_band_series_vs_transform():
             c += 0.21j  # keep c-a-b safely off the integers
         z = np.array([rng.uniform(0.4, 0.6)])
         s = _raw_series(*_row(a, b, c), z)[0]
-        t = _linear_transform(*_row(a, b, c), 1.0 - z, np.log1p(-z))[0]
+        t = _connection(*_row(a, b, c), 1.0 - z, np.log1p(-z))[0]
         assert abs(s - t) / abs(s) < 1e-10
 
 
@@ -294,9 +300,9 @@ def test_mirrored_lanes_against_mpmath(mu, nu):
     k = np.repeat([0.05, 0.5, 1.0, 3.0, 7.5, 15.0, 25.0, 40.0], 6)
     w = np.tile([1e-6, 1e-3, 0.01, 0.1, 0.25, 0.4], 8)
     a, b, c = al + 0.5j * k, be + 0.5j * k, np.full(k.shape, 1.0 + mu)
-    mirrored = _linear_transform(a, b, c, np.ones(k.size, dtype=int), w, np.log(w))
+    mirrored = _connection(a, b, c, np.ones(k.size, dtype=int), w, np.log(w))
     # an imaginary part of c far below rounding turns the rule off: both series summed
-    both = _linear_transform(a, b, c + 1e-300j, np.ones(k.size, dtype=int), w, np.log(w))
+    both = _connection(a, b, c + 1e-300j, np.ones(k.size, dtype=int), w, np.log(w))
     for i in range(k.size):
         with mp.workdps(40):
             A, B, C, W = mp.mpc(a[i]), mp.mpc(b[i]), mp.mpf(c[i]), mp.mpf(w[i])
@@ -466,6 +472,22 @@ def test_2f1_grid_sums_each_branch_in_full_blocks(monkeypatch):
     assert len(sums) == 1
 
 
+def test_2f1_block_sums_raw_and_connection_lanes_in_one_loop(monkeypatch):
+    # 1,000 lanes of L on the boundary, with x on both sides of tanh^2 x = SERIES_THRESHOLD:
+    # one block of more than BLOCK_LANES / 16 lanes sums its raw series and its connection
+    # formula's series in one loop, and each lane keeps the value it has alone
+    p, pt = ModelParams(0, 3), SpectralPoint.boundary(1.4, +1)
+    x = np.linspace(0.2, 3.0, 1000)
+    assert (np.tanh(x[0]) ** 2 <= SERIES_THRESHOLD < np.tanh(x[-1]) ** 2) and x.size > BLOCK_LANES // 16
+    sums, sum_lanes = [], specfun._sum_lanes
+    monkeypatch.setattr(specfun, "_sum_lanes", lambda *args: sums.append(1) or sum_lanes(*args))
+    grid = eval_L(p, x, pt)
+    monkeypatch.undo()
+    assert len(sums) == 1
+    alone = np.array([eval_L(p, v, pt) for v in x])
+    assert grid.tobytes() == alone.tobytes()
+
+
 def test_2f1_lanes_of_a_large_grid_equal_one_lane_calls():
     # 11,100 lanes, far more than a block holds: the lanes that stop first and
     # last on either side of the threshold, and a random sample, each alone
@@ -511,7 +533,7 @@ def test_2f1_slow_connection_side_lane():
     mp = pytest.importorskip("mpmath")
     a, b, c, w = 0.4 + 1.2j, -0.7 - 0.3j, -2.8 + 0.9j, 0.999
     series = _raw_series(*_row(a, b, a + b - c + 1.0), np.array([w]))[0]
-    value = _linear_transform(*_row(a, b, c), np.array([w]), np.log(np.array([w])))[0]
+    value = _connection(*_row(a, b, c), np.array([w]), np.log(np.array([w])))[0]
     with mp.workdps(50):
         A, B, C, W = mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpf(w)
         ref_series = complex(mp.hyp2f1(A, B, A + B - C + 1, W))

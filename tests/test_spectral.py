@@ -11,7 +11,7 @@ from halfscatter.errors import AtEigenvalueError, DomainError
 from halfscatter.index import verify_index
 from halfscatter.model import ModelParams, classify_beta, potential
 from halfscatter.oracle import count_bound_states_shooting, greens_function_oracle
-from halfscatter.scattering import fourier_kernel, quadrature_panels
+from halfscatter.scattering import fourier_kernel, fourier_kernel_matrix, quadrature_panels
 from halfscatter.solutions import SpectralPoint, eval_L, eval_M, eval_N, wronskian
 from halfscatter.specfun import BLOCK_LANES
 from halfscatter.spectral import (
@@ -230,6 +230,18 @@ def test_density_fourier_factorization(standard_params):
     lhs = 2 * k * spectral_density_kernel(standard_params, k, x, y)
     rhs = fourier_kernel(standard_params, -1, x, k) * fourier_kernel(standard_params, +1, y, k)
     assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1e-12)
+
+
+@pytest.mark.parametrize("side", [+1, -1])
+def test_density_is_the_fourier_kernel_product_on_a_grid(side):
+    # p(k^2; x, y) = K(x, k) conj K(y, k) / (2k), with K fourier_kernel_matrix's entry on either
+    # side: two public objects that share no code above eval_L
+    p = ModelParams(0.6, 2.1)
+    k, x, y = np.linspace(0.3, 7.5, 4), np.linspace(0.1, 4.0, 7), np.linspace(0.2, 5.0, 7)
+    dens = np.array([spectral_density_kernel(p, kj, x[:, None], y) for kj in k])
+    kx, ky = fourier_kernel_matrix(p, side, x, k), fourier_kernel_matrix(p, side, y, k)
+    product = kx[:, :, None] * np.conj(ky[:, None, :]) / (2.0 * k[:, None, None])
+    assert np.max(np.abs(dens - product)) <= 1e-14 * np.max(np.abs(dens))
 
 
 def test_bound_state_examples():
