@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import math
 import re
@@ -145,90 +146,62 @@ def _write_text(out_path: str | None, text: str):
 
 
 def _csv_lines(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\r\n".join(lines) + "\r\n"
+    return "".join(",".join(_fmt(v) for v in row) + "\r\n" for row in [header, *rows])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_sigma(args) -> int:
+def cmd_sigma(args) -> tuple[int, str]:
     samples = sigma_samples(_params(args), args.k)
-    text = _csv_lines(
-        ["k", "sigma_re", "sigma_im", "phase"],
-        [(s.k, s.sigma.real, s.sigma.imag, s.phase) for s in samples],
-    )
-    _write_text(args.out, text)
-    return EXIT_OK
+    rows = [(s.k, s.sigma.real, s.sigma.imag, s.phase) for s in samples]
+    return EXIT_OK, _csv_lines(["k", "sigma_re", "sigma_im", "phase"], rows)
 
 
-def cmd_bound_states(args) -> int:
+def cmd_bound_states(args) -> tuple[int, str]:
     rep = bound_states(_params(args))
-    payload = {
-        "count": rep.count,
-        "levels": [{"zeta": lv.zeta, "energy": lv.energy} for lv in rep.levels],
-    }
-    _write_text(args.out, _json_dump(payload) + "\n")
-    return EXIT_OK
+    payload = {"count": rep.count, "levels": [{"zeta": lv.zeta, "energy": lv.energy} for lv in rep.levels]}
+    return EXIT_OK, _json_dump(payload) + "\n"
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> tuple[int, str]:
     p = _params(args)
-    rows = []
-    for k in args.k:
-        for x in args.x:
-            for y in args.y:
-                val = spectral_density_kernel(p, float(k), float(x), float(y))
-                rows.append((k, x, y, val.real))
-    _write_text(args.out, _csv_lines(["k", "x", "y", "p"], rows))
-    return EXIT_OK
+    rows = [
+        (k, x, y, spectral_density_kernel(p, float(k), float(x), float(y)).real)
+        for k, x, y in itertools.product(args.k, args.x, args.y)
+    ]
+    return EXIT_OK, _csv_lines(["k", "x", "y", "p"], rows)
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> tuple[int, str]:
     p = _params(args)
     if args.kind == "resolvent":
         pt = SpectralPoint.interior(args.zeta)
     else:
         pt = SpectralPoint.boundary(args.k, args.side)
     rows = []
-    for x in args.x:
-        for y in args.y:
-            v = resolvent_kernel(p, pt, float(x), float(y))
-            rows.append((x, y, v.real, v.imag))
-    _write_text(args.out, _csv_lines(["x", "y", "re", "im"], rows))
-    return EXIT_OK
+    for x, y in itertools.product(args.x, args.y):
+        v = resolvent_kernel(p, pt, float(x), float(y))
+        rows.append((x, y, v.real, v.imag))
+    return EXIT_OK, _csv_lines(["x", "y", "re", "im"], rows)
 
 
-def cmd_winding(args) -> int:
-    p = _params(args)
-    omega = index_mod.winding_contributions(p)
-    payload = {
-        "mu": p.mu,
-        "nu": p.nu,
-        "omega": list(omega),
-        "winding_closed": float(sum(omega)),
-        "winding_numeric": index_mod.winding_numeric(p),
-    }
-    _write_text(args.out, _json_dump(payload) + "\n")
-    return EXIT_OK
+def cmd_winding(args) -> tuple[int, str]:
+    rep = index_mod.verify_index(_params(args)).to_json_dict()
+    fields = ("mu", "nu", "omega", "winding_closed", "winding_numeric")
+    return EXIT_OK, _json_dump({f: rep[f] for f in fields}) + "\n"
 
 
-def cmd_verify_index(args) -> int:
+def cmd_verify_index(args) -> tuple[int, str]:
     mus = [args.mu] if args.mu_grid is None else args.mu_grid
     nus = [args.nu] if args.nu_grid is None else args.nu_grid
-    reports = []
-    for mu in mus:
-        for nu in nus:
-            reports.append(index_mod.verify_index(ModelParams(float(mu), float(nu))))
-    payload = [r.to_json_dict() for r in reports]
-    _write_text(args.out, _json_dump(payload) + "\n")
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
+    reports = [index_mod.verify_index(ModelParams(float(mu), float(nu))) for mu, nu in itertools.product(mus, nus)]
+    text = _json_dump([r.to_json_dict() for r in reports]) + "\n"
+    return (EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL), text
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_oracle_check(args) -> tuple[int, str]:
     p = _params(args)
     pt = SpectralPoint.interior(args.zeta)
     rows = []
@@ -260,14 +233,13 @@ def cmd_oracle_check(args) -> int:
     rows.append(("bound_count_wronskian_roots", float(abs(n_roots - n_cf)), 0.5))
 
     table = [(name, err, tol, "pass" if err < tol else "fail") for name, err, tol in rows]
-    _write_text(args.out, _csv_lines(["check", "discrepancy", "tolerance", "status"], table))
-    return EXIT_OK if all(st == "pass" for *_, st in table) else EXIT_VERIFY_FAIL
+    code = EXIT_OK if all(st == "pass" for *_, st in table) else EXIT_VERIFY_FAIL
+    return code, _csv_lines(["check", "discrepancy", "tolerance", "status"], table)
 
 
-def cmd_eval_2f1(args) -> int:
+def cmd_eval_2f1(args) -> tuple[int, str]:
     val = gauss_2f1(args.a, args.b, args.c, args.z)
-    _write_text(args.out, _json_dump({"re": val.real, "im": val.imag}) + "\n")
-    return EXIT_OK
+    return EXIT_OK, _json_dump({"re": val.real, "im": val.imag}) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -298,61 +270,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, mu_nu=True):
+    def command(name, func, summary, mu_nu):
+        """The subcommand's parser: --mu and --nu if mu_nu, then --out and --config; func computes its artifact."""
+        sp = sub.add_parser(name, help=summary)
         if mu_nu:
             sp.add_argument("--mu", type=_finite_float, default=0.5)
             sp.add_argument("--nu", type=_finite_float, default=0.5)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--config", default=None, help="JSON file overriding flags")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("sigma", help="scattering-function sweep as CSV")
-    common(sp)
+    sp = command("sigma", cmd_sigma, "scattering-function sweep as CSV", True)
     sp.add_argument("--k", type=parse_range, required=True, help="k grid, start:stop:count")
-    sp.set_defaults(func=cmd_sigma)
 
-    sp = sub.add_parser("bound-states", help="bound-state report as JSON")
-    common(sp)
-    sp.set_defaults(func=cmd_bound_states)
+    command("bound-states", cmd_bound_states, "bound-state report as JSON", True)
 
-    sp = sub.add_parser("density", help="spectral density samples as CSV")
-    common(sp)
+    sp = command("density", cmd_density, "spectral density samples as CSV", True)
     sp.add_argument("--k", type=parse_range, required=True)
     sp.add_argument("--x", type=parse_range, required=True)
     sp.add_argument("--y", type=parse_range, required=True)
-    sp.set_defaults(func=cmd_density)
 
-    sp = sub.add_parser("kernel", help="resolvent kernel samples as CSV")
-    common(sp)
+    sp = command("kernel", cmd_kernel, "resolvent kernel samples as CSV", True)
     sp.add_argument("--kind", choices=("resolvent", "boundary"), default="resolvent")
     sp.add_argument("--zeta", type=parse_complex, default="1.5+0.5j", help="interior spectral parameter")
     sp.add_argument("--k", type=_finite_float, default=1.0, help="boundary momentum")
     sp.add_argument("--side", choices=("+", "-"), default="+")
     sp.add_argument("--x", type=parse_range, required=True)
     sp.add_argument("--y", type=parse_range, required=True)
-    sp.set_defaults(func=cmd_kernel)
 
-    sp = sub.add_parser("winding", help="winding contributions for one parameter pair")
-    common(sp)
-    sp.set_defaults(func=cmd_winding)
+    command("winding", cmd_winding, "winding contributions for one parameter pair", True)
 
-    sp = sub.add_parser("verify-index", help="index-theorem verification over a grid")
-    common(sp)
+    sp = command("verify-index", cmd_verify_index, "index-theorem verification over a grid", True)
     sp.add_argument("--mu-grid", type=parse_range, default=None, help="mu range start:stop:count")
     sp.add_argument("--nu-grid", type=parse_range, default=None, help="nu range start:stop:count")
-    sp.set_defaults(func=cmd_verify_index)
 
-    sp = sub.add_parser("oracle-check", help="closed forms vs ODE oracle discrepancy table")
-    common(sp)
+    sp = command("oracle-check", cmd_oracle_check, "closed forms vs ODE oracle discrepancy table", True)
     sp.add_argument("--zeta", type=parse_complex, default="1.5+0.5j")
-    sp.set_defaults(func=cmd_oracle_check)
 
-    sp = sub.add_parser("eval-2f1", help="single Gauss 2F1 value as JSON")
-    common(sp, mu_nu=False)
+    sp = command("eval-2f1", cmd_eval_2f1, "single Gauss 2F1 value as JSON", False)
     sp.add_argument("--a", type=parse_complex, required=True)
     sp.add_argument("--b", type=parse_complex, required=True)
     sp.add_argument("--c", type=parse_complex, required=True)
     sp.add_argument("--z", type=_finite_float, required=True)
-    sp.set_defaults(func=cmd_eval_2f1)
 
     return ap
 
@@ -372,7 +332,9 @@ def main(argv=None) -> int:
     try:
         config = _config_parser().parse_known_args(argv)[0].config
         args = parser.parse_args([*argv, *_config_argv(config)] if config else argv)
-        return args.func(args)
+        code, text = args.func(args)  # every command's artifact is written here, after it returns
+        _write_text(args.out, text)
+        return code
     except SystemExit:  # --help; every other argparse exit is a UsageError
         return EXIT_OK
     except (UsageError, DomainError) as exc:  # every DomainError here comes from an argument

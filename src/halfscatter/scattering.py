@@ -71,11 +71,13 @@ class ScatteringSample:
 
 
 def sigma_samples(params: ModelParams, k_nodes) -> list[ScatteringSample]:
-    """Scattering samples on a k-grid; the phase is the principal argument at
-    the first node plus the change of Im log_sigma, which cannot alias."""
+    """Scattering samples on a k-grid, a scalar or 1-d (else DomainError); the phase is the
+    principal argument at the first node plus the change of Im log_sigma, which cannot alias."""
+    if np.ndim(k_nodes) > 1:
+        raise DomainError("sigma_samples takes a scalar or 1-d k grid")
     logs = np.atleast_1d(log_sigma(params, k_nodes))
     values = np.exp(logs)
-    phases = np.angle(values[0]) + (logs - logs[0]).imag
+    phases = np.angle(values[:1]) + (logs - logs[:1]).imag  # the first node as a slice: an empty grid gives []
     return [
         ScatteringSample(k=float(kk), sigma=complex(vv), phase=float(ph))
         for kk, vv, ph in zip(np.atleast_1d(k_nodes), values, phases)
@@ -97,8 +99,10 @@ def script_F(params: ModelParams, x, k: float):
 
 
 def b_factor(params: ModelParams, k: float) -> complex:
-    """High-energy normalization factor at finite k > 0; tends to 1 as k grows."""
-    _positive("k", k)
+    """High-energy normalization factor at one finite k > 0 (an array of k: DomainError); tends to 1 as k grows."""
+    if np.ndim(k):
+        raise DomainError("b_factor takes one k, not an array")
+    k = _positive("k", k)
     bb = beta_fn(params.beta - 0.5j * k, params.alpha - params.mu - 0.5j * k)
     return complex(
         np.sqrt(k) * bb / (np.exp(0.25j * np.pi) * np.exp(1j * k * np.log(2.0)) * np.sqrt(2.0 * np.pi))

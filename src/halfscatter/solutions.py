@@ -227,11 +227,12 @@ def wronskian(params: ModelParams, pt: SpectralPoint) -> complex:
     Returns an exact 0 when beta + zeta/2 sits at a pole of the denominator
     gamma, which is precisely the bound-state condition.
     """
-    zeta = pt.zeta
-    return -2.0 * gamma_ratio(
-        (1.0 + params.mu, 1.0 + zeta),
-        (params.alpha + zeta / 2.0, params.beta + zeta / 2.0),
-    )
+    return -2.0 * gamma_ratio(*_wronskian_gammas(params, pt.zeta))
+
+
+def _wronskian_gammas(params: ModelParams, zeta):
+    """The Wronskian's gamma arguments: numerators (1+mu, 1+zeta), denominators (alpha+zeta/2, beta+zeta/2)."""
+    return (1.0 + params.mu, 1.0 + zeta), (params.alpha + zeta / 2.0, params.beta + zeta / 2.0)
 
 
 def connection_coefficients(params: ModelParams, pt: SpectralPoint) -> ConnectionCoefficients:

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtEigenvalueError, DomainError, NoConvergenceError
+from .errors import AtEigenvalueError, DomainError, IllConditionedError, NoConvergenceError
 from .model import ModelParams, _integer, classify_beta
-from .solutions import SpectralPoint, _bound_state, _solution, eval_L, eval_M, wronskian
-from .specfun import gamma_ratio
+from .solutions import SpectralPoint, _bound_state, _solution, _wronskian_gammas, eval_L, eval_M, wronskian
+from .specfun import gamma_ratio, log_gamma_ratio
 
 __all__ = [
     "BoundStateLevel",
@@ -137,11 +137,12 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                num, den = -fcur * (xcur - xpre), fcur - fpre
             else:  # inverse quadratic
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            stry = num / den if den else math.inf  # brentq.c's x/0 is inf or nan, which bisects
             spre, scur = (scur, stry) if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta) else (sbis, sbis)
         else:
             spre = scur = sbis
@@ -156,9 +157,12 @@ def wronskian_roots(params: ModelParams) -> list[float]:
     Brent's method on each bracket of the scan (_brent).
 
     The zeros are simple, so a scan grid finer than their spacing (which is 2)
-    brackets each one in a sign change; a zero that lands on a node is taken
-    once, as the node.  Returned in decreasing order, matching the level
-    ordering of bound_states.
+    brackets each one in a sign change, tested by sign, since the product of
+    two end values can underflow; a zero that lands on a node is taken once,
+    as the node.  Returned in decreasing order, matching the level ordering
+    of bound_states.  Served while every scanned W is a normal double: at
+    mu = 0 up to nu = 1,437, at mu = 49 up to nu = 1,107.  Past that, W
+    underflows on the scan and IllConditionedError is raised.
     """
     t = params.nu - params.mu - 1.0
     if t <= 0:
@@ -170,9 +174,15 @@ def wronskian_roots(params: ModelParams) -> list[float]:
     n_seg = max(4, int(np.ceil(t / 0.25)) + 1)  # scan step 0.25
     grid = np.linspace(ROOT_SCAN_START, t + ROOT_SCAN_START, n_seg).tolist()
     vals = [w_real(g) for g in grid]
+    for g, v in zip(grid, vals):
+        # W is 0 at a level on a node, where a denominator gamma sits at its pole (log W = -inf);
+        # anywhere else a W that is 0, subnormal or inf has left double range
+        if not sys.float_info.min <= abs(v) < math.inf:
+            if log_gamma_ratio(*_wronskian_gammas(params, g)).real > -np.inf:
+                raise IllConditionedError(f"Wronskian W({g:.6g}) = {v:g} is not a normal double; the scan cannot bracket")
     roots = [g for g, v in zip(grid, vals) if v == 0.0]
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa * fb < 0:
+        if fa != 0 and fb != 0 and (fa < 0) != (fb < 0):  # by sign: fa * fb can underflow to -0
             roots.append(_brent(w_real, a, b, fa, fb))
     return sorted(roots, reverse=True)
 

@@ -402,3 +402,60 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert rc == EXIT_USAGE
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+# one small argv per subcommand, with its exit code; K_EDGE = 0.2 makes verify-index fail (exit 1)
+_ONE_PER_COMMAND = [
+    (["sigma", "--mu", "0", "--nu", "3", "--k", "0.5:1:3"], None, EXIT_OK),
+    (["bound-states", "--mu", "0", "--nu", "5"], None, EXIT_OK),
+    (["density", "--mu", "1", "--nu", "2", "--k", "1", "--x", "0.5:1:2", "--y", "1"], None, EXIT_OK),
+    (["kernel", "--mu", "1", "--nu", "2", "--x", "0.5:1:2", "--y", "1"], None, EXIT_OK),
+    (["winding", "--mu", "0", "--nu", "3"], None, EXIT_OK),
+    (["verify-index", "--mu", "0", "--nu", "5"], None, EXIT_OK),
+    (["verify-index", "--mu", "0", "--nu", "5"], 0.2, EXIT_VERIFY_FAIL),
+    (["oracle-check", "--mu", "1", "--nu", "2"], None, EXIT_OK),
+    (["eval-2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "0.5"], None, EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("argv, k_edge, code", _ONE_PER_COMMAND, ids=[f"{a[0]}-exit{c}" for a, _, c in _ONE_PER_COMMAND])
+def test_out_file_gets_the_stdout_bytes(tmp_path, capsys, monkeypatch, argv, k_edge, code):
+    # main writes every command's artifact in one place: --out FILE receives exactly the bytes
+    # that stdout receives without it, with the same exit code, a failed verification included
+    if k_edge is not None:
+        monkeypatch.setattr("halfscatter.index.K_EDGE", k_edge)
+    assert main(argv) == code
+    stdout = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout != b""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["kernel", "--mu", "0", "--nu", "3", "--zeta", "2.0", "--x", "1", "--y", "1"], EXIT_NUMERIC),
+        (["eval-2f1", "--a", "300", "--b", "300", "--c", "1.5", "--z", "0.999"], EXIT_NUMERIC),
+        (["sigma", "--mu", "0", "--nu", "3", "--k", "0:1:3"], EXIT_USAGE),
+    ],
+    ids=["kernel-at-eigenvalue", "eval-2f1-overflow", "sigma-k-zero"],
+)
+def test_a_failing_command_writes_nothing(tmp_path, capsys, argv, code):
+    # a command that raises returns no artifact: neither stdout nor the --out file is written
+    out = tmp_path / "artifact"
+    assert main(argv) == code
+    assert capsys.readouterr().out == ""
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("mu, nu", [(0.0, 3.0), (2.0, 0.5)], ids=["beta-negative-integer", "beta-positive"])
+def test_winding_is_the_verify_index_report(capsys, mu, nu):
+    pair = ["--mu", str(mu), "--nu", str(nu)]
+    assert main(["winding", *pair]) == EXIT_OK
+    winding = json.loads(capsys.readouterr().out)
+    assert main(["verify-index", *pair]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)[0]
+    assert list(winding) == ["mu", "nu", "omega", "winding_closed", "winding_numeric"]
+    assert winding == {key: report[key] for key in winding}

@@ -89,6 +89,16 @@ def test_sigma_samples_unwrap():
     assert all(abs(s.phase) < 1e-13 for s in free)
 
 
+def test_sigma_samples_of_an_empty_grid_and_of_a_2d_grid():
+    # the phase is anchored at the first node as a slice, so an empty grid gives no samples,
+    # not an IndexError; a 2-d grid is refused with DomainError, not a TypeError from float()
+    assert sigma_samples(GEN, []) == []
+    with pytest.raises(DomainError):
+        sigma_samples(GEN, [[1.0, 2.0]])
+    one = sigma_samples(GEN, 1.5)
+    assert len(one) == 1 and one[0].phase == np.angle(one[0].sigma)
+
+
 def test_sigma_samples_phase_at_large_parameters():
     # at (30.2, 35.9) sampling aliased the phase by whole turns; the log-gamma
     # phase matches mpmath's continuous loggamma phase on every node
@@ -212,6 +222,15 @@ def test_b_factor():
         np.exp(0.25j * np.pi) * 2.0 ** (1j * k) * np.sqrt(2 * np.pi)
     )
     assert abs(b_factor(FREE, k) - direct) < 1e-14
+
+
+def test_b_factor_takes_its_checked_k():
+    # it computed with the raw argument: an array of k raised TypeError, a numeric string too
+    with pytest.raises(DomainError):
+        b_factor(GEN, [1.0, 2.0])
+    with pytest.raises(DomainError):
+        b_factor(GEN, -1.0)
+    assert b_factor(GEN, "1.5") == b_factor(GEN, 1.5) == b_factor(GEN, np.float64(1.5))
 
 
 def test_dilation_bessel_limit():

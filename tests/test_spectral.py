@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from conftest import fd_second, mp_resolvent
 from halfscatter import solutions
 from halfscatter import spectral as spectral_mod
-from halfscatter.errors import AtEigenvalueError, DomainError
+from halfscatter.errors import AtEigenvalueError, DomainError, IllConditionedError
 from halfscatter.index import verify_index
 from halfscatter.model import ModelParams, classify_beta, potential
 from halfscatter.oracle import count_bound_states_shooting, greens_function_oracle
@@ -307,6 +307,45 @@ def test_brent_matches_brentq_on_the_criterion_6_grid(monkeypatch):
     assert len(ours) > 50 and ours == evaluations
     for p, r, ref in zip(grid, roots, refs):
         assert len(r) == len(ref) and np.allclose(r, ref, rtol=0.0, atol=1e-12), (p, r, ref)
+
+
+@pytest.mark.parametrize("mu, nu", [(0.0, 1000.0), (2.5, 1000.3)])
+def test_wronskian_roots_at_large_nu(mu, nu):
+    # W spans hundreds of decades on the scan: the product of two bracket ends underflowed to -0
+    # (106 of 400 brackets dropped at nu = 800), and Brent's inverse quadratic step divided by a
+    # denominator that underflowed to 0 (ZeroDivisionError from nu of about 550 at mu = 0)
+    p = ModelParams(mu, nu)
+    levels, roots = [lv.zeta for lv in bound_states(p).levels], wronskian_roots(p)
+    assert len(roots) == len(levels) > 400
+    assert np.max(np.abs(np.array(roots) - levels)) < 1e-10
+
+
+def test_wronskian_roots_refuse_a_scan_past_double_range():
+    # at nu = 2000 most scanned W read exactly 0 by underflow, away from any pole
+    with pytest.raises(IllConditionedError):
+        wronskian_roots(ModelParams(0.0, 2000.0))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: 1e-200 * ((x - 0.3) + (x - 0.3) ** 3), lambda x: 1e-160 * np.expm1(5.0 * (x - 0.3))],
+    ids=["cubic", "expm1"],
+)
+def test_brent_bisects_on_a_zero_denominator(f):
+    # dblk * dpre underflows to 0 on these tiny functions; brentq.c's division then gives inf
+    # or nan, which fails its step test and bisects: the same root from the same evaluations
+    from scipy.optimize import brentq
+
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return float(f(x))
+
+    root = spectral_mod._brent(g, 0.0, 1.0, g(0.0), g(1.0))
+    ours, calls[:] = list(calls), []
+    ref = brentq(g, 0.0, 1.0, xtol=1e-12)
+    assert root == ref and ours == calls
 
 
 def test_shooting_count_matches_report():
