@@ -32,11 +32,12 @@ def _integer(what: str, v) -> int:
 
 
 def _finite(what: str, v):
-    """v as a float (or float array) if every entry is finite, else DomainError naming what."""
-    v = np.asarray(v, dtype=float)
+    """v as a float or complex (or an array of them) if every entry is finite, else DomainError naming what."""
+    v = np.asarray(v)
+    v = v.astype(complex if v.dtype.kind == "c" else float, copy=False)
     if not np.isfinite(v).all():
         raise DomainError(f"{what} must be finite")
-    return float(v) if v.ndim == 0 else v
+    return v.item() if v.ndim == 0 else v
 
 
 @dataclass(frozen=True)

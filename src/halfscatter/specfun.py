@@ -1,11 +1,17 @@
 """Complex special functions used by every closed form in the package.
 
 The only nonstandard piece is a Gauss 2F1 for complex parameters and real
-argument z in [0, 1).  The defining power series serves every lane with
-z <= SERIES_THRESHOLD = 0.6; above it the value comes from the z -> 1-z linear
-transformation, switching to the logarithmic (digamma) representations when
-c-a-b degenerates to an integer.  Each lane takes one branch: no value is
-computed twice or checked against the other branch.
+argument z in [0, 1).  Above SERIES_THRESHOLD = 0.6 the value comes from the
+z -> 1-z linear transformation, switching to the logarithmic (digamma)
+representations when c-a-b degenerates to an integer.  At or below it the
+defining power series serves every lane but those of mirrored rows (real c,
+c-a = conj(b): the regular solution on the boundary) whose raw series an
+a-priori estimate finds more cancelled than the connection formula: past the
+solution's turning point the raw terms grow like e^(k sqrt z) before they
+cancel.  Choosing the representation by its cancellation follows Johansson,
+"Computing hypergeometric functions rigorously", ACM TOMS 45 (2019).  Each
+lane takes one branch: no value is computed twice or checked against the
+other branch.
 Log-gamma, digamma and the Bessel function are delegated to scipy behind the
 same call surface.
 """
@@ -18,7 +24,7 @@ import numpy as np
 from scipy import special as _sc
 
 from .errors import DomainError, IllConditionedError, InvalidCError, NoConvergenceError, PoleError
-from .model import BETA_INT_TOL, _integer, _positive
+from .model import BETA_INT_TOL, _finite, _integer, _positive
 
 __all__ = [
     "log_gamma",
@@ -33,21 +39,25 @@ __all__ = [
     "SERIES_THRESHOLD",
 ]
 
-# The switch between the branches: the raw series serves z at most this, the
-# linear transformation (or its log case) z above it, where the transformed
-# argument 1 - z is below 0.4.  A fixed switch, not a choice by cancellation.
+# The raw series' upper limit: the linear transformation (or its log case)
+# serves z above it, where the transformed argument 1 - z is below 0.4.  At or
+# below it the raw series serves a lane unless the lane's row is mirrored and
+# _connection_lanes finds the connection formula less cancelled.
 SERIES_THRESHOLD = 0.6
 
 MAX_TERMS = 20000
 # Lanes evaluated together: bounds the series temporaries, so peak memory
 # stays flat however large the broadcast lane shape is.  A block is a range of
 # whole rows, or, on a grid of several blocks whose z is the same in every
-# row, a range of rows over the columns of one branch.
+# row, a range of rows over the columns with z up to SERIES_THRESHOLD or over
+# the rest.
 BLOCK_LANES = 8192
 _CHUNK_TERMS = 16  # series terms per lane between two stop tests
 _TERM_TOL = 1e-16
 _POLE_TOL = 1e-14  # distance from an integer <= 0 at which a real argument is a pole of Gamma
-_MIRROR_TOL = 4 * np.finfo(float).eps  # conjugate-pair test of _linear_transform, relative to |a| + |b|
+_MIRROR_TOL = 4 * np.finfo(float).eps  # conjugate-pair test of _mirrored, relative to |a| + |b|
+_RAW_GROWTH = 10.4  # X = 2 sqrt(|ab| z) from which a raw series can lose digits (_connection_lanes)
+_ESTIMATE_TERMS = 4096  # terms of each series that _connection_lanes's estimate reads
 
 
 def _near_int(z):
@@ -66,12 +76,13 @@ def _gamma_poles(z):
 
 
 def log_gamma(z) -> complex:
-    """Principal-branch log Gamma(z); raises PoleError at nonpositive integers."""
-    return log_gamma_ratio((z,), ())
+    """Principal-branch log Gamma(z); raises PoleError at nonpositive integers, DomainError at a z not finite."""
+    return log_gamma_ratio((_finite("z", z),), ())
 
 
 def digamma(z) -> complex:
-    """Logarithmic derivative of Gamma; raises PoleError at nonpositive integers."""
+    """Logarithmic derivative of Gamma; raises PoleError at nonpositive integers, DomainError at a z not finite."""
+    z = _finite("z", z)
     poles = _gamma_poles(np.asarray(z, dtype=complex))
     if poles is not None and poles:
         raise PoleError(f"digamma pole at z = {z}")
@@ -79,11 +90,12 @@ def digamma(z) -> complex:
 
 
 def pochhammer(q, n: int) -> complex:
-    """Rising factorial (q)_n = q (q+1) ... (q+n-1), (q)_0 = 1, for an integer n >= 0 (else DomainError)."""
+    """Rising factorial (q)_n = q (q+1) ... (q+n-1), (q)_0 = 1, for a finite q and an integer n >= 0
+    (else DomainError)."""
     if _integer("pochhammer order", n) < 0:
         raise DomainError("pochhammer order must be >= 0")
     out = 1.0 + 0.0j
-    q = complex(q)
+    q = complex(_finite("q", q))
     for j in range(int(n)):
         out *= q + j
     return out
@@ -135,12 +147,15 @@ def gamma_ratio(numerators, denominators):
 
 
 def beta_fn(a, b) -> complex:
-    """Beta function Gamma(a)Gamma(b)/Gamma(a+b)."""
+    """Beta function Gamma(a)Gamma(b)/Gamma(a+b) of finite a and b (else DomainError)."""
+    a, b = _finite("a", a), _finite("b", b)
     return gamma_ratio((a, b), (complex(a) + complex(b),))
 
 
 def bessel_script_J(mu: float, x) -> float | np.ndarray:
-    """Half-line Bessel kernel sqrt(pi*x/2) * J_mu(x) for mu >= 0, finite x > 0."""
+    """Half-line Bessel kernel sqrt(pi*x/2) * J_mu(x) for finite mu >= 0 and x > 0 (else DomainError)."""
+    if np.any(_finite("mu", mu) < 0):
+        raise DomainError("mu must be >= 0")
     x = _positive("x", x)
     out = np.sqrt(np.pi * x / 2.0) * _sc.jv(mu, x)
     return float(out) if out.ndim == 0 else out
@@ -279,7 +294,14 @@ def _terminating_series(a, b, c, counts, w, n_terms):
     return total
 
 
-def _linear_transform(a, b, c, counts, w, log_w):
+def _mirrored(a, b, c):
+    """Per row: real c with c-a = conj(b), within a few ulps of |a| + |b|, since
+    c, a and b are rounded separately.  The regular solution on the boundary,
+    c = 1+mu, a = alpha + ik/2 and b = beta + ik/2, is such a row."""
+    return (c.imag == 0) & (np.abs(c - a - np.conj(b)) <= _MIRROR_TOL * (np.abs(a) + np.abs(b)))
+
+
+def _linear_transform(a, b, c, mirror, counts, w, log_w):
     """z -> 1-z connection formula per lane, valid when c-a-b is not an integer.
 
     Takes w = 1-z together with its exact logarithm so that the caller can
@@ -287,17 +309,15 @@ def _linear_transform(a, b, c, counts, w, log_w):
     destroys the phase of the w^(c-a-b) factor.  A term whose gamma
     prefactor vanishes is not summed: its rows keep runs of no lanes.
 
-    A mirrored row, real c with c-a = conj(b) (the regular solution on the
-    boundary), has c-b = conj(a) and c-a-b imaginary, so the second term's
-    series and gamma product are the conjugates of the first's: only the
-    first is formed.  The test allows a few ulps of |a| + |b|, since c, a
-    and b are rounded separately.  Sums nothing: returns the rows of its
-    series as _raw_series takes them, the second's after the first's, and
-    the function of their sums that gives the lanes' values.
+    A mirrored row (mirror, per row: _mirrored) has c-b = conj(a) and c-a-b
+    imaginary, so the second term's series and gamma product are the
+    conjugates of the first's: only the first is formed.  Sums nothing:
+    returns the rows of its series as _raw_series takes them, the second's
+    after the first's, and the function of their sums that gives the lanes'
+    values.
     """
     ca, cb = c - a, c - b
     d = ca - b
-    mirror = (c.imag == 0) & (np.abs(ca - np.conj(b)) <= _MIRROR_TOL * (np.abs(a) + np.abs(b)))
     p1 = gamma_ratio((c, d), (ca, cb))
     if np.count_nonzero(mirror) == mirror.size:
         p2 = np.conj(p1)
@@ -350,19 +370,100 @@ def _log_case(a, b, c, counts, w, log_w, m):
     return out
 
 
+def _log_largest_term(a, b, c, counts, log_x):
+    """Per lane: log of the largest |term| among the first _ESTIMATE_TERMS of
+    F(a,b;c;x), from log x per lane and the log term ratios of its row summed
+    in order.  The lanes go in slices, with the rows they hold, which bounds
+    the temporaries."""
+    j = np.arange(_ESTIMATE_TERMS)[:, None]
+    row, out = np.arange(counts.size).repeat(counts), np.empty(log_x.shape)
+    step = max(1, BLOCK_LANES * _CHUNK_TERMS // _ESTIMATE_TERMS)
+    for s in range(0, log_x.size, step):
+        r = row[s : s + step]
+        p = slice(r[0], r[-1] + 1)
+        sums = np.cumsum(np.log(np.abs((a[p] + j) * (b[p] + j) / ((c[p] + j) * (j + 1.0)))), axis=0)
+        out[s : s + step] = (sums[:, r - r[0]] + (j + 1.0) * log_x[s : s + step]).max(axis=0)
+    return np.maximum(out, 0.0)  # the term 1
+
+
+def _connection_lanes(a, b, c, mirror, counts, z, log_w):
+    """Lane mask: the lanes of mirrored rows with z <= SERIES_THRESHOLD that the
+    connection formula serves, by a-priori estimates from each lane's own a,
+    b, c and z, with k = |Im a + Im b|, mu = c-1 and nu = |Re a - Re b| (the
+    regular solution's k, mu and nu).
+
+    First a shortcut in k, mu and z alone.  For k large against mu and nu the
+    raw series' terms peak near e^(k sqrt z) and the connection series' near
+    e^(k w / 4), w = 1-z.  The shortcut takes the connection formula past L's
+    turning point, k sqrt z >= mu + 2 (before it L rises like x^(1/2+mu) and
+    the two conjugate connection terms cancel), where that series grows by
+    e^3 less, and where either the raw series would lose more than 5 digits
+    (e^11.5 = 1e5) or the connection series has the fewer terms.  A count is
+    the terms to the peak, 1.36 k sqrt z (raw) or 0.68 k w, and 37 / |ln x|
+    more as the terms fall like x^n by e^37 = 1e16; measured, the counts are
+    1.3 and 1.0 times these (medians over 168 lanes, mu, nu <= 5, k <= 300).
+
+    Then, where mu or nu is strong and the raw series can lose digits, the
+    rounding that each branch carries: the raw series' largest term against
+    2 |p1| times the connection series' largest term, p1 = Gamma(c)
+    Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)).  Before the turning point,
+    k^2 z < (1-z) ((mu^2 - 1/4) (1-z) + (mu^2 - nu^2) z), where V = k^2 at
+    tanh^2 x = z, the two connection terms cancel and each carries p1's
+    rounding, eps times the sum of its |log Gamma|, which scales the latter.
+    """
+    out, ab = np.zeros(z.shape, dtype=bool), np.abs(a * b)
+    k, mu, nu = np.abs(a.imag + b.imag), c.real - 1.0, np.abs(a.real - b.real)
+    # the rows where some lane can pass either test, as z is at most SERIES_THRESHOLD; both need
+    # |ab| z >= 1 (k^2 / 4 <= |ab|, and mu + 2 >= 2), the test _block makes for the whole block
+    strong = (4.0 * ab * SERIES_THRESHOLD >= _RAW_GROWTH**2) & (2.0 * np.maximum(mu, nu) >= _RAW_GROWTH)
+    rows = mirror & ((k * math.sqrt(SERIES_THRESHOLD) >= mu + 2.0) | strong)
+    if not rows.any():
+        return out
+    lanes = rows.repeat(counts) & (z <= SERIES_THRESHOLD)
+    k, mu, nu, ab = (v.repeat(counts)[lanes] for v in (k, mu, nu, ab))
+    z, log_w = z[lanes], log_w[lanes]
+    kz, kw = k * np.sqrt(z), k * (1.0 - z)
+    with np.errstate(divide="ignore"):  # z = 0: ln z = -inf, a raw series of one term
+        shorter = 0.68 * kw - 37.0 / log_w < 1.36 * kz - 37.0 / np.log(z)
+    fast = (kz >= mu + 2.0) & (kw / 4.0 <= kz - 3.0) & ((kz > 11.5) | shorter)
+    # X = 2 sqrt(|ab| z): the raw series' terms grow only where this is large.  Over 1,400 seeded lanes
+    # (mu, nu in [0, 50], k in [0.05, 300], z in [1e-4, 0.6]), none with X < 10.4 lost over 4.5 digits,
+    # and the shortcut served none worse than 10 times the better branch where max(mu, nu) < 0.65 X.
+    # The connection series must stop within the estimate's terms, as it does past (c + 37) / |ln w|.
+    x = 2.0 * np.sqrt(ab * z)
+    test = ~fast & (x >= _RAW_GROWTH) & (2.0 * np.maximum(mu, nu) >= x) & (mu + 38.0 <= -log_w * _ESTIMATE_TERMS)
+    if test.any():
+        at = np.zeros(lanes.shape, dtype=bool)
+        at[lanes] = test
+        ra, rb, rc, n = _used_rows((a, b, c), _runs(counts, at))
+        lg = _sc.loggamma(np.array([rc, rc - ra - rb, rc - ra, rc - rb]))
+        raw = _log_largest_term(ra, rb, rc, n, np.log(z[test]))
+        conn = _log_largest_term(ra, rb, ra + rb - rc + 1.0, n, log_w[test])
+        conn += (math.log(2.0) + lg[0] + lg[1] - lg[2] - lg[3]).real.repeat(n)
+        k, mu, nu, z = k[test], mu[test], nu[test], z[test]
+        before = k * k * z < (1.0 - z) * ((mu * mu - 0.25) * (1.0 - z) + (mu * mu - nu * nu) * z)
+        conn += np.where(before, np.log1p(np.abs(lg).sum(axis=0)).repeat(n), 0.0)
+        fast[test] = conn < raw
+    out[lanes] = fast
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a value past double range is inf or nan in its lane
 def _block(a, b, c, counts, z, log_w):
     """One block of lanes, each sent to its branch: the terminating sum when a
-    or b is a nonpositive integer, the raw series up to the threshold, and
-    above it the connection formula or, grouped by integer gap m = c-a-b, the
-    log form (m < 0 reduced by Euler's transformation).  Every test but the
-    threshold is made once per row, from one integer test of c, a, b and
-    c-a-b; a nonpositive integer c raises InvalidCError.  One loop sums the
-    raw series and the connection formula's series, whatever the block's
-    size.  The terminating sum and the log form keep their own, as sharing
-    it would move bits: the first forms (term rho) w, not term (rho w), which
-    moves about half of a seeded sample of polynomial lanes; a log lane's
-    term is coef g, and g = 1 would flip signed zeros of the other lanes."""
+    or b is a nonpositive integer, the raw series up to the threshold but on
+    the lanes of mirrored rows that _connection_lanes chooses, and the
+    connection formula on those and above the threshold or, grouped by
+    integer gap m = c-a-b, the log form (m < 0 reduced by Euler's
+    transformation).  Every test but the threshold and the choice is made
+    once per row, from one integer test of c, a, b and c-a-b and the mirror
+    test (_mirrored), which _linear_transform takes; a nonpositive integer c
+    raises InvalidCError.  One loop sums the raw series and the connection
+    formula's series, whatever the block's size.  The terminating sum and
+    the log form keep their own, as sharing it would move bits: the first
+    forms (term rho) w, not term (rho w), which moves about half of a seeded
+    sample of polynomial lanes; a log lane's term is coef g, and g = 1 would
+    flip signed zeros of the other lanes."""
     near, r = _near_int(np.array([c, a, b, c - a - b]))
     nonpos = near & (r <= 0)
     if np.count_nonzero(nonpos[0]):
@@ -375,13 +476,21 @@ def _block(a, b, c, counts, z, log_w):
             s = (degree == d).repeat(counts)
             out[s] = _terminating_series(*_used_rows((a, b, c), counts * (degree == d)), z[s], int(d))
         poly = (degree <= MAX_TERMS).repeat(counts)
-    low = ~poly & (z <= SERIES_THRESHOLD)
+    # the mirror test, made once for the branch choice and _linear_transform, and only where one
+    # needs it: the choice moves lanes of rows with real c and |ab| z >= 1 (_connection_lanes)
+    low, mirror = ~poly & (z <= SERIES_THRESHOLD), None
+    if np.count_nonzero(low) and np.count_nonzero((c.imag == 0) & (np.abs(a * b) * SERIES_THRESHOLD >= 1.0)):
+        mirror = _mirrored(a, b, c) & ~near[3]  # a mirrored row with an integer gap takes the log form
+        if np.count_nonzero(mirror):
+            low &= ~_connection_lanes(a, b, c, mirror, counts, z, log_w)
     high = ~poly & ~low
     gap, m = near[3].repeat(counts), r[3].repeat(counts)
     s = high & ~gap
     rows, n_low, n_s = (a, b, c, _runs(counts, low), z[low]), np.count_nonzero(low), np.count_nonzero(s)
     if n_s:  # the connection formula's rows follow the raw series' lanes
-        more, values = _linear_transform(*_used_rows((a, b, c), _runs(counts, s)), np.exp(log_w[s]), log_w[s])
+        mirror = _mirrored(a, b, c) if mirror is None else mirror
+        lw = log_w[s]
+        more, values = _linear_transform(*_used_rows((a, b, c, mirror), _runs(counts, s)), np.exp(lw), lw)
         rows = [np.concatenate(v) for v in zip(rows, more)] if n_low else more
     if n_low or n_s:
         f = _raw_series(*rows)
@@ -407,15 +516,22 @@ def hyp2f1_values(a, b, c, z, log_w=None):
     takes its own branch: the terminating sum when a or b is a nonpositive
     integer, the raw series for z up to the threshold, and above it the
     z -> 1-z connection formula or, when c-a-b is an integer, the
-    logarithmic representation.  Each lane's series stops on its own terms,
-    so its value does not depend on the other lanes.  Lanes are evaluated in
-    blocks of at most BLOCK_LANES, which bounds the temporaries: ranges of
-    whole rows of the last axis, or equal pieces of a row longer than that.
+    logarithmic representation.  A lane of a mirrored row (real c,
+    c-a = conj(b), as the regular solution's on the boundary) takes the
+    connection formula at or below the threshold too, where an a-priori
+    estimate from its own a, b, c and z finds the raw series the more
+    cancelled (_connection_lanes).  Each lane's branch and series depend on
+    its own values alone, so its value does not depend on the other lanes.
+    Lanes are evaluated in blocks of at most BLOCK_LANES, which bounds the
+    temporaries: ranges of whole rows of the last axis, or equal pieces of a
+    row longer than that.
     When a, b and c are constant along the last axis, z and log_w are the
     same in every row (a (k, x) grid, z = tanh^2 x or sech^2 x) and the lanes
     span more than one block, the columns with z up to the threshold are cut
-    into blocks apart from the rest, so each block holds one branch in full;
-    a call that fits in one block keeps its branches in one block.
+    into blocks apart from the rest, so the raw series of a grid is summed in
+    full blocks (a block of those columns also sums the connection formula
+    of the mirrored lanes that take it); a call that fits in one block keeps
+    its branches in one block.
     When a, b and c are scalars, all lanes are one row; when they are
     constant along the last axis (a (k, x) grid), the core reads them once
     per row of that axis; otherwise once per run of consecutive lanes with
@@ -435,7 +551,8 @@ def hyp2f1_values(a, b, c, z, log_w=None):
         with np.errstate(divide="ignore", invalid="ignore"):  # z >= 1 fails the test below
             log_w = np.log1p(-z)
     log_w = np.asarray(log_w, dtype=float)
-    # log_w only matters on the transformed branch, where it must witness z < 1; NaN fails the test
+    # log_w only matters where the connection formula serves: above the threshold it must witness
+    # z < 1 (NaN fails the test); at or below it, z does
     if not ((z >= 0.0) & ((z <= SERIES_THRESHOLD) | ((log_w < 0.0) & (log_w > -np.inf)))).all():
         raise DomainError("hyp2f1 argument must lie in [0, 1)")
     a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))

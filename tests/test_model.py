@@ -13,7 +13,7 @@ from halfscatter.errors import DomainError, IllConditionedError, ParityError
 from halfscatter.model import ModelParams, classify_beta, potential, reduce_group_indices
 from halfscatter.phase import refine_path
 from halfscatter.solutions import SpectralPoint, eval_derivative, eval_L, eval_M, eval_N
-from halfscatter.specfun import bessel_script_J, hyp2f1_values, pochhammer
+from halfscatter.specfun import bessel_script_J, beta_fn, digamma, hyp2f1_values, log_gamma, pochhammer
 
 
 def integer_pair_potential(m, n, x):
@@ -174,6 +174,12 @@ FINITE_ARGS = {
     "SampledFunction(grid)": lambda v: scattering.SampledFunction(grid=[v], values=[0.0], weights=[1.0]),
     "SampledFunction(weights)": lambda v: scattering.SampledFunction(grid=[1.0, 2.0], values=[0, 0], weights=[1, v]),
     "pochhammer(n)": lambda v: pochhammer(1.0, v),
+    "pochhammer(q)": lambda v: pochhammer(v, 3),
+    "log_gamma(z)": log_gamma,
+    "digamma(z)": digamma,
+    "beta_fn(a)": lambda v: beta_fn(v, 1.0),
+    "beta_fn(b)": lambda v: beta_fn(1.0, v),
+    "bessel_script_J(mu)": lambda v: bessel_script_J(v, 1.0),
 }
 # real arguments valid at every finite value
 REAL_ARGS = {
@@ -197,6 +203,7 @@ OTHER_CASES = {
     "integrate_decaying(xs=[])": lambda: oracle.integrate_decaying(P, PT, []),
     "pochhammer(n=-1)": lambda: pochhammer(1.0, -1),
     "pochhammer(n=0.5)": lambda: pochhammer(1.0, 0.5),
+    "bessel_script_J(mu=-1.5)": lambda: bessel_script_J(-1.5, 1.0),
     "eigenfunction(n=1.5)": lambda: spectral.eigenfunction(ModelParams(0.0, 5.0), 1.5),
     "quadrature_panels(nodes_per_panel=2.5)": lambda: scattering.quadrature_panels(0.0, 1.0, 1.0, 2.5),
     "refine_path(one node)": lambda: refine_path(np.exp, [0.0]),

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fd_first, fd_second, ode_residual
+from conftest import fd_first, fd_second, mp_regular, ode_residual
 from halfscatter.errors import DomainError, IllConditionedError, InvalidCError, PoleError
 from halfscatter.model import ModelParams
 from halfscatter.oracle import integrate_decaying, integrate_regular
@@ -222,6 +222,18 @@ def test_derivative_on_a_boundary_grid_against_mpmath():
             for j, x in enumerate(xs):
                 value, ref = _mp_solution(p, 1j * k, which, x)  # side -1: zeta = ik
                 assert abs(grid[i, j] - ref) < 1e-13 * max(abs(ref), abs(value)), (which, k, x)
+
+
+@pytest.mark.parametrize("mu, nu, k, z_low", [(0, 3, 50, 0.2), (0.6, 2.1, 50, 0.2), (1, 1, 50, 0.2), (0, 3, 100, 0.55)])
+def test_boundary_L_past_its_turning_point_against_mpmath(mu, nu, k, z_low):
+    # tanh^2 x in [z_low, 0.6], where the raw series' terms grow like e^(k tanh x) before they
+    # cancel: the connection formula serves these points.  The raw series was off by up to 5.5,
+    # 38 and 120 times |L| at k = 50, and 2.3e21 times at k = 100.  At k = 100 the points below
+    # z = 0.45 are left to the Taylor walk (ROADMAP item 4)
+    p, pt = ModelParams(mu, nu), SpectralPoint.boundary(k, +1)
+    x = np.arctanh(np.sqrt(np.linspace(z_low, 0.6, 9)))
+    ref = mp_regular(p, pt.zeta, x)
+    assert np.all(np.abs(eval_L(p, x, pt) - ref) <= 1e-10 * np.abs(ref))
 
 
 @pytest.mark.parametrize("which", ["l", "W", None])

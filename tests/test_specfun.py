@@ -34,7 +34,7 @@ def _row(*params):
 
 def _connection(*args):
     # the connection formula alone: its series' rows summed in a loop of their own
-    rows, values = _linear_transform(*args)
+    rows, values = _linear_transform(*args[:3], specfun._mirrored(*args[:3]), *args[3:])
     return values(_raw_series(*rows))
 
 
@@ -312,6 +312,32 @@ def test_mirrored_lanes_against_mpmath(mu, nu):
             scale = float(2 * abs(term * mp.hyp2f1(A, B, A + B - C + 1, W)))
         assert abs(mirrored[i] - ref) <= 1e-13 * scale
         assert abs(mirrored[i] - both[i]) <= 1e-14 * scale
+
+
+def test_mirrored_choice_never_serves_a_worse_lane():
+    # boundary L's 2F1 over the north-star range: each lane of one call against the better of its
+    # two branches, each summed alone as the call would sum it.  While the raw series served every
+    # lane, 15 of these 60 missed; 6 keep 9 digits on neither branch (ROADMAP item 4's zone)
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(30)
+    n = 60
+    mu, nu = rng.uniform(0.0, 50.0, n), rng.uniform(0.0, 50.0, n)
+    k = np.exp(rng.uniform(math.log(0.05), math.log(300.0), n))
+    z = rng.uniform(1e-4, 0.6, n)
+    a, b, c = (1 + mu + nu) / 2 + 0.5j * k, (1 + mu - nu) / 2 + 0.5j * k, 1.0 + mu
+    log_w = np.log1p(-z)
+    values = hyp2f1_values(a, b, c, z)
+    for i in range(n):
+        row = _row(a[i], b[i], c[i])
+        try:
+            conn = _connection(*row, np.exp(log_w[i : i + 1]), log_w[i : i + 1])[0]
+        except NoConvergenceError:  # at z near 0 the connection series runs past MAX_TERMS
+            conn = np.inf
+        with mp.workdps(40):
+            ref = complex(mp.hyp2f1(mp.mpc(a[i]), mp.mpc(b[i]), mp.mpf(c[i]), mp.mpf(z[i])))
+        best = min(abs(_raw_series(*row, z[i : i + 1])[0] - ref), abs(conn - ref)) / abs(ref)
+        assert values[i] == hyp2f1_values(a[i], b[i], c[i], z[i])
+        assert abs(values[i] - ref) <= max(10 * best, 1e-10) * abs(ref), (mu[i], nu[i], k[i], z[i])
 
 
 def test_2f1_grid_equals_one_lane_calls(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import fd_second, mp_resolvent
+from conftest import fd_second, mp_regular, mp_resolvent
 from halfscatter import solutions
 from halfscatter import spectral as spectral_mod
 from halfscatter.errors import AtEigenvalueError, DomainError, IllConditionedError
@@ -128,6 +128,20 @@ def test_density_at_an_array_of_k_raises(k):
     # second entry of the first case read 0.1319, where p(k = 2; 0.6, 0.5) is 0.1157
     with pytest.raises(DomainError):
         spectral_density_kernel(ModelParams(0.6, 2.1), k, np.array([0.5, 0.6]), 0.5)
+
+
+def test_density_at_k_100_against_mpmath():
+    # the rows of `density --mu 0 --nu 3 --k 100 --x 0.85:0.9:2 --y 0.85`, which read 6.1e29 and
+    # -1.06e31 while the raw series served L at tanh^2 x <= 0.6: p = (k/pi) L(x) L(y) / |W|^2
+    mp = pytest.importorskip("mpmath")
+    p, k, x = ModelParams(0.0, 3.0), 100.0, np.array([0.85, 0.9])
+    zeta = SpectralPoint.boundary(k, +1).zeta
+    lv = mp_regular(p, zeta, x)
+    with mp.workdps(40):
+        z = mp.mpc(zeta)
+        w = -2 * mp.gamma(1 + p.mu) * mp.gamma(1 + z) / (mp.gamma(p.alpha + z / 2) * mp.gamma(p.beta + z / 2))
+    ref = (k / np.pi) * (lv * lv[0]).real / abs(complex(w)) ** 2
+    assert np.all(np.abs(spectral_density_kernel(p, k, x, 0.85) - ref) <= 1e-9 * np.abs(ref))
 
 
 @pytest.mark.parametrize("x", [0.6, np.array([0.5, 0.6])])
